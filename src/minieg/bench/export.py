@@ -200,8 +200,7 @@ def render_table(result: ExperimentResult) -> str:
     )
     lines.append(
         f"speedup reference: {ref}; spectral setup: "
-        f"{meta['lambda_setup_seconds']:.3f}s (excluded from tcpu_s); "
-        f"parallel={str(meta['parallel']).lower()}"
+        f"{meta['lambda_setup_seconds']:.3f}s (excluded from tcpu_s)"
     )
     return "\n".join(lines)
 

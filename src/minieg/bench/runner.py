@@ -31,7 +31,6 @@ from ..solvers import (
     METHOD_IDS,
     RunStatus,
     SolverConfig,
-    TraceLevel,
     method_display_name,
     run_solver,
 )
@@ -300,7 +299,6 @@ def run_experiment(spec: ExperimentSpec, *, progress=None) -> ExperimentResult:
     metadata = {
         "source": source.describe(),
         "reference_method": reference,
-        "parallel": False,
         "lambda_setup_seconds": lambda_setup_seconds,
     }
     return ExperimentResult(spec=spec, rows=rows, aggregates=aggregates, metadata=metadata)
@@ -417,23 +415,20 @@ def rank_trace(
     Returns ``(result, points)``. The rank of the selected coordinate within
     ``|F(x_k)|`` (1 = largest magnitude) is normalized by the dimension, so
     ``normalized_rank`` lies in ``(0, 1]`` and small values mean near-greedy
-    picks. The instrumentation pays one additional (separately tallied) full
-    evaluation per iteration, so this is strictly a diagnostic mode, never a
-    timing mode.
+    picks. Each point costs one additional full evaluation through
+    ``problem.eval_full``, which is never charged to the run's ledger, so
+    this is strictly a diagnostic mode, never a timing mode.
     """
     if method == "eg":
         raise ConfigurationError("rank tracing needs a coordinate-selecting method")
-    cfg = config if config is not None else SolverConfig()
-    if cfg.trace is TraceLevel.NONE:
-        cfg = replace(cfg, trace=TraceLevel.FULL)
-    result = run_solver(problem, method, cfg, x0=x0, diagnostics=True)
-    points = [
-        RankPoint(
-            k=rec.k,
-            normalized_rank=rec.selected_rank / problem.dim,
-            reset=rec.reset,
-        )
-        for rec in result.trace
-        if rec.selected_rank is not None
-    ]
+    points: list[RankPoint] = []
+
+    def record_rank(obs) -> None:
+        if obs.selected_index is None:
+            return
+        magnitudes = np.abs(problem.eval_full(obs.x))
+        rank = 1 + int(np.count_nonzero(magnitudes > magnitudes[obs.selected_index]))
+        points.append(RankPoint(k=obs.k, normalized_rank=rank / problem.dim, reset=obs.reset))
+
+    result = run_solver(problem, method, config, x0=x0, callback=record_rank)
     return result, points

@@ -1,10 +1,14 @@
 """Extragradient-family solvers for monotone nonlinear systems.
 
-Four iteration schemes share one driver (:func:`run_solver`):
+All four methods share one probe-then-project loop (:func:`run_solver`): a
+probe moves the iterate ``x_k`` to ``y_k`` and the loop reads ``F(y_k)`` in
+full. It returns ``y_k`` as the solution once that norm is within the
+tolerance, and otherwise projects ``x_k - beta_k F(y_k)`` onto the feasible
+region, with ``beta_k`` from :func:`beta_full` or :func:`beta_component`.
+Only the probe differs:
 
 ``eg``
-    Classic two-step extragradient with a short probe step ``rho/L`` and an
-    adaptive projection step.
+    Classic extragradient: a full step of ``rho/L`` along ``-F(x_k)``.
 ``gmini``
     Greedy single-coordinate variant: probes only the coordinate with the
     largest map magnitude, scaled by that coordinate's own Lipschitz bound.
@@ -25,15 +29,13 @@ ledger identities::
     rmini:  nf == iterations * (1 + 1/n)
     wmax:   nf == 1 + iterations * (1 + 2/n)
 
-Iterations run until the Euclidean norm of the map at the probe point drops
-to the tolerance (the probe point is then returned as the solution), the
-iteration cap is reached, or a step-size sign test fails.
+A run also ends at the iteration cap or when a step-size sign test fails.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -83,11 +85,13 @@ class SolutionFound(Exception):
 
 
 class StepsizeFailure(RuntimeError):
-    """The component sign test failed: ``F_i(y) * F_i(x) < 0``.
+    """The step-size sign test failed: ``<F(y), x - y> < 0``.
 
-    A negative product would make the projection step size negative and
-    break the Fejer-monotonicity of the iterates, which indicates that the
-    componentwise Lipschitz constants underestimate the true slopes.
+    After a probe along coordinate ``i`` the test reads ``F_i(y) * F_i(x)``;
+    after the full probe ``coordinate`` is None. A negative value would make
+    the projection step size negative and break the Fejer-monotonicity of
+    the iterates, which indicates that the Lipschitz constants underestimate
+    the true slopes.
     """
 
     def __init__(
@@ -100,10 +104,10 @@ class StepsizeFailure(RuntimeError):
     ) -> None:
         where = "" if iteration is None else f" at iteration {iteration}"
         which = "" if coordinate is None else f", coordinate {coordinate}"
+        tested = "<F(y), x - y>" if coordinate is None else "F_i(y) * F_i(x)"
         super().__init__(
-            f"component sign test failed{where}{which}: "
-            f"F_i(y) * F_i(x) = {product:.6e} < 0 "
-            "(componentwise Lipschitz constants are too small)"
+            f"step-size sign test failed{where}{which}: {tested} = {product:.6e} < 0 "
+            "(the Lipschitz constants are too small)"
         )
         self.product = product
         self.iteration = iteration
@@ -162,11 +166,8 @@ class IterationRecord:
 
     ``beta`` is 0.0 on iterations that converge at the probe point (the
     projection step is never formed there). ``selected_index`` is None for
-    the full-vector method. ``selected_rank`` is the rank of the selected
-    coordinate's magnitude within ``|F(x_k)|`` (1 = largest, so it lies in
-    ``[1, n]``), populated only when rank diagnostics are requested;
-    ``reset`` flags watchdog iterations whose challenger strictly beat the
-    reference.
+    the full-vector method; ``reset`` flags watchdog iterations whose
+    challenger strictly beat the reference.
     """
 
     k: int
@@ -174,7 +175,6 @@ class IterationRecord:
     residual_y: float
     beta: float
     nf_so_far: float
-    selected_rank: int | None = None
     reset: bool | None = None
 
 
@@ -226,7 +226,6 @@ class RunResult:
     trace: list[IterationRecord]
     ledger: CostLedger
     config: SolverConfig
-    diagnostic_ledger: CostLedger | None = None
     failure: StepsizeFailure | None = None
 
     @property
@@ -239,18 +238,25 @@ class RunResult:
 # ---------------------------------------------------------------------------
 
 
-def beta_full(f_y: np.ndarray, x: np.ndarray, y: np.ndarray, *, norm_sq: float | None = None) -> float:
+def beta_full(
+    f_y: np.ndarray, x: np.ndarray, y: np.ndarray, *,
+    norm_sq: float | None = None, iteration: int | None = None,
+) -> float:
     """Projection step size for the full-vector method.
 
     ``beta = <F(y), x - y> / ||F(y)||^2``. Raises :class:`SolutionFound`
     when ``F(y)`` vanishes -- the probe point is then an exact solution and
-    no step is needed.
+    no step is needed. A strictly negative inner product raises
+    :class:`StepsizeFailure`, as in :func:`beta_component`.
     """
     if norm_sq is None:
         norm_sq = float(np.dot(f_y, f_y))
     if norm_sq == 0.0:
         raise SolutionFound(np.array(y, dtype=float, copy=True))
-    return float(np.dot(f_y, x - y)) / norm_sq
+    product = float(np.dot(f_y, x - y))
+    if product < 0.0:
+        raise StepsizeFailure(product, iteration=iteration)
+    return product / norm_sq
 
 
 def beta_component(
@@ -302,222 +308,58 @@ def lipschitz_power_sampler(
 
 
 # ---------------------------------------------------------------------------
-# Steppers
+# Probes
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class _StepOutcome:
-    converged: bool
-    residual_y: float
-    beta: float
-    selected_index: int | None
-    final_point: np.ndarray | None = None
-    reset: bool | None = None
-    observation: StepObservation | None = None
+class _Run:
+    """What the probes of one run read: its session, draws and constants."""
+
+    session: EvaluationSession
+    gen: np.random.Generator
+    sampler: IndexSampler | None
+    scale: float | None  # eg's probe step rho / L
+    reference: int | None = None  # wmax's remembered coordinate
 
 
-class _StepperBase:
-    uses_rng = False
-
-    def __init__(
-        self,
-        problem: MonotoneMapping,
-        projection: Projection,
-        config: SolverConfig,
-        *,
-        capture: bool,
-        sampler: IndexSampler | None,
-    ) -> None:
-        self.problem = problem
-        self.projection = projection
-        self.config = config
-        self.capture = capture
-        l = np.asarray(problem.componentwise_lipschitz, dtype=float)
-        if l.shape != (problem.dim,) or np.any(l <= 0) or not np.all(np.isfinite(l)):
-            raise ConfigurationError(
-                "problem must provide positive finite componentwise Lipschitz constants"
-            )
-        self.l = l
-        self.sampler = sampler
-
-    def start(self, session: EvaluationSession, gen: np.random.Generator):
-        """Pre-loop work. Returns a (point, residual) pair to finish early."""
-        return None
-
-    def step(
-        self,
-        k: int,
-        session: EvaluationSession,
-        gen: np.random.Generator,
-        final_iteration: bool = False,
-    ) -> _StepOutcome:
-        """One iteration. ``final_iteration`` asks the stepper to hand back
-        the probe point even when it does not converge, so a capped run can
-        report the point its residual was actually measured at."""
-        raise NotImplementedError
+_NO_WATCH = (None, None, None, None)  # (challenger, F_c, F_ref, reset) outside wmax
 
 
-class _ExtragradientStepper(_StepperBase):
-    def __init__(self, problem, projection, config, *, capture, sampler) -> None:
-        super().__init__(problem, projection, config, capture=capture, sampler=sampler)
-        L = problem.ensure_global_lipschitz()
-        if L is None or L <= 0 or not np.isfinite(L):
-            raise ConfigurationError(f"global Lipschitz bound must be positive, got {L}")
-        self.scale = config.rho / L
-
-    def step(self, k, session, gen, final_iteration=False):
-        cfg = self.config
-        x = session.point.copy()
-        f_x = session.eval_full()
-        y = x - self.scale * f_x
-        session.set_point(y)
-        f_y = session.eval_full()
-        norm_sq = float(np.dot(f_y, f_y))
-        residual = float(np.sqrt(norm_sq))
-
-        if residual <= cfg.tolerance:
-            outcome = _StepOutcome(True, residual, 0.0, None, final_point=y.copy())
-            if self.capture:
-                outcome.observation = StepObservation(
-                    k=k, x=x, y=y, x_next=None, f_y=f_y, f_x=f_x,
-                    selected_index=None, selected_value=None,
-                    beta=0.0, residual_y=residual, converged=True,
-                )
-            return outcome
-
-        beta = beta_full(f_y, x, y, norm_sq=norm_sq)
-        x_next = self.projection(x - beta * f_y)
-        session.set_point(x_next)
-        outcome = _StepOutcome(
-            False, residual, beta, None,
-            final_point=y if final_iteration else None,
-        )
-        if self.capture:
-            outcome.observation = StepObservation(
-                k=k, x=x, y=y, x_next=np.array(x_next, dtype=float, copy=True),
-                f_y=f_y, f_x=f_x, selected_index=None, selected_value=None,
-                beta=beta, residual_y=residual, converged=False,
-            )
-        return outcome
+def _probe_eg(run: _Run, k: int):
+    """Full probe ``y = x - (rho/L) F(x)``: one full evaluation."""
+    session = run.session
+    f_x = session.eval_full()
+    session.set_point(session.point - run.scale * f_x)
+    return None, None, f_x, _NO_WATCH
 
 
-class _GreedyMiniStepper(_StepperBase):
-    def step(self, k, session, gen, final_iteration=False):
-        cfg = self.config
-        x = session.point.copy()
-        f_x = session.eval_full()
-        magnitudes = np.abs(f_x)
-        peak = float(magnitudes.max())
-
-        if peak == 0.0:
-            # x is an exact root; probe in place so the residual rule fires.
-            f_y = session.eval_full()
-            outcome = _StepOutcome(True, 0.0, 0.0, None, final_point=x.copy())
-            if self.capture:
-                outcome.observation = StepObservation(
-                    k=k, x=x, y=x.copy(), x_next=None, f_y=f_y, f_x=f_x,
-                    selected_index=None, selected_value=None,
-                    beta=0.0, residual_y=0.0, converged=True,
-                )
-            return outcome
-
-        i = int(np.argmax(magnitudes))  # ties resolve to the smallest index
-        f_x_i = float(f_x[i])
-        session.shift_coordinate(i, -(cfg.rho / self.l[i]) * f_x_i)
-        f_y = session.eval_full()
-        norm_sq = float(np.dot(f_y, f_y))
-        residual = float(np.sqrt(norm_sq))
-
-        if residual <= cfg.tolerance:
-            final = session.point.copy()
-            outcome = _StepOutcome(True, residual, 0.0, i, final_point=final)
-            if self.capture:
-                outcome.observation = StepObservation(
-                    k=k, x=x, y=final.copy(), x_next=None, f_y=f_y, f_x=f_x,
-                    selected_index=i, selected_value=f_x_i,
-                    beta=0.0, residual_y=residual, converged=True,
-                )
-            return outcome
-
-        try:
-            beta = beta_component(
-                f_y, i, f_x_i, self.l[i], cfg.rho, norm_sq=norm_sq, iteration=k
-            )
-        except StepsizeFailure as exc:
-            exc.point = x  # report the iterate the failing step started from
-            raise
-        y_obs = session.point.copy() if (self.capture or final_iteration) else None
-        x_next = self.projection(x - beta * f_y)
-        session.set_point(x_next)
-        outcome = _StepOutcome(
-            False, residual, beta, i,
-            final_point=y_obs if final_iteration else None,
-        )
-        if self.capture:
-            outcome.observation = StepObservation(
-                k=k, x=x, y=y_obs, x_next=np.array(x_next, dtype=float, copy=True),
-                f_y=f_y, f_x=f_x, selected_index=i, selected_value=f_x_i,
-                beta=beta, residual_y=residual, converged=False,
-            )
-        return outcome
+def _probe_gmini(run: _Run, k: int):
+    """The largest ``|F_i(x)|`` of one full evaluation; ties go to the smallest index."""
+    f_x = run.session.eval_full()
+    magnitudes = np.abs(f_x)
+    if float(magnitudes.max()) == 0.0:
+        return None, None, f_x, _NO_WATCH  # x is an exact root; probe in place
+    i = int(np.argmax(magnitudes))
+    return i, float(f_x[i]), f_x, _NO_WATCH
 
 
-class _RandomMiniStepper(_StepperBase):
-    uses_rng = True
-
-    def __init__(self, problem, projection, config, *, capture, sampler) -> None:
-        super().__init__(problem, projection, config, capture=capture, sampler=sampler)
-        if self.sampler is None:
-            self.sampler = lipschitz_power_sampler(self.l, config.gamma)
-
-    def step(self, k, session, gen, final_iteration=False):
-        cfg = self.config
-        x = session.point.copy()
-        i = int(self.sampler(k, gen, session))
-        f_x_i = session.eval_component(i)
-        delta = -(cfg.rho / self.l[i]) * f_x_i
-        if delta != 0.0:
-            session.shift_coordinate(i, delta)
-        f_y = session.eval_full()
-        norm_sq = float(np.dot(f_y, f_y))
-        residual = float(np.sqrt(norm_sq))
-
-        if residual <= cfg.tolerance:
-            final = session.point.copy()
-            outcome = _StepOutcome(True, residual, 0.0, i, final_point=final)
-            if self.capture:
-                outcome.observation = StepObservation(
-                    k=k, x=x, y=final.copy(), x_next=None, f_y=f_y, f_x=None,
-                    selected_index=i, selected_value=f_x_i,
-                    beta=0.0, residual_y=residual, converged=True,
-                )
-            return outcome
-
-        try:
-            beta = beta_component(
-                f_y, i, f_x_i, self.l[i], cfg.rho, norm_sq=norm_sq, iteration=k
-            )
-        except StepsizeFailure as exc:
-            exc.point = x  # report the iterate the failing step started from
-            raise
-        y_obs = session.point.copy() if (self.capture or final_iteration) else None
-        x_next = self.projection(x - beta * f_y)
-        session.set_point(x_next)
-        outcome = _StepOutcome(
-            False, residual, beta, i,
-            final_point=y_obs if final_iteration else None,
-        )
-        if self.capture:
-            outcome.observation = StepObservation(
-                k=k, x=x, y=y_obs, x_next=np.array(x_next, dtype=float, copy=True),
-                f_y=f_y, f_x=None, selected_index=i, selected_value=f_x_i,
-                beta=beta, residual_y=residual, converged=False,
-            )
-        return outcome
+def _probe_rmini(run: _Run, k: int):
+    """One drawn coordinate: a single coordinate read."""
+    i = int(run.sampler(k, run.gen, run.session))
+    return i, run.session.eval_component(i), None, _NO_WATCH
 
 
-class _WatchdogMaxStepper(_StepperBase):
+def _start_wmax(run: _Run) -> bool:
+    """Seed the reference with one full evaluation; True when ``x_0`` is a root."""
+    magnitudes = np.abs(run.session.eval_full())
+    if float(magnitudes.max()) == 0.0:
+        return True
+    run.reference = int(np.argmax(magnitudes))
+    return False
+
+
+def _probe_wmax(run: _Run, k: int):
     """Randomized probing guarded by a remembered reference coordinate.
 
     Each iteration charges exactly two coordinate reads (reference and
@@ -526,87 +368,26 @@ class _WatchdogMaxStepper(_StepperBase):
     reference. The probed coordinate always carries the larger magnitude of
     the two, so its magnitude dominates the challenger's by construction.
     """
-
-    uses_rng = True
-
-    def __init__(self, problem, projection, config, *, capture, sampler) -> None:
-        super().__init__(problem, projection, config, capture=capture, sampler=sampler)
-        if self.sampler is None:
-            self.sampler = lipschitz_power_sampler(self.l, config.gamma)
-        self.reference: int | None = None
-
-    def start(self, session, gen):
-        f0 = session.eval_full()
-        if float(np.abs(f0).max()) == 0.0:
-            return session.point.copy(), 0.0
-        self.reference = int(np.argmax(np.abs(f0)))
-        return None
-
-    def step(self, k, session, gen, final_iteration=False):
-        cfg = self.config
-        x = session.point.copy()
-        ref = self.reference
-        challenger = int(self.sampler(k, gen, session))
-        f_ref = session.eval_component(ref)
-        f_ch = session.eval_component(challenger)  # charged even when it is the reference
-
-        if abs(f_ch) > abs(f_ref):
-            i, f_x_i, reset = challenger, f_ch, True
-        else:
-            i, f_x_i, reset = ref, f_ref, False  # ties keep the reference
-
-        delta = -(cfg.rho / self.l[i]) * f_x_i
-        if delta != 0.0:
-            session.shift_coordinate(i, delta)
-        f_y = session.eval_full()
-        norm_sq = float(np.dot(f_y, f_y))
-        residual = float(np.sqrt(norm_sq))
-
-        if residual <= cfg.tolerance:
-            final = session.point.copy()
-            outcome = _StepOutcome(True, residual, 0.0, i, final_point=final, reset=reset)
-            if self.capture:
-                outcome.observation = StepObservation(
-                    k=k, x=x, y=final.copy(), x_next=None, f_y=f_y, f_x=None,
-                    selected_index=i, selected_value=f_x_i,
-                    beta=0.0, residual_y=residual, converged=True,
-                    challenger_index=challenger, challenger_value=f_ch,
-                    reference_value=f_ref, reset=reset,
-                )
-            self.reference = i
-            return outcome
-
-        try:
-            beta = beta_component(
-                f_y, i, f_x_i, self.l[i], cfg.rho, norm_sq=norm_sq, iteration=k
-            )
-        except StepsizeFailure as exc:
-            exc.point = x  # report the iterate the failing step started from
-            raise
-        y_obs = session.point.copy() if (self.capture or final_iteration) else None
-        x_next = self.projection(x - beta * f_y)
-        session.set_point(x_next)
-        self.reference = i
-        outcome = _StepOutcome(
-            False, residual, beta, i, reset=reset,
-            final_point=y_obs if final_iteration else None,
-        )
-        if self.capture:
-            outcome.observation = StepObservation(
-                k=k, x=x, y=y_obs, x_next=np.array(x_next, dtype=float, copy=True),
-                f_y=f_y, f_x=None, selected_index=i, selected_value=f_x_i,
-                beta=beta, residual_y=residual, converged=False,
-                challenger_index=challenger, challenger_value=f_ch,
-                reference_value=f_ref, reset=reset,
-            )
-        return outcome
+    session = run.session
+    challenger = int(run.sampler(k, run.gen, session))
+    f_ref = session.eval_component(run.reference)
+    f_ch = session.eval_component(challenger)  # charged even when it is the reference
+    reset = bool(abs(f_ch) > abs(f_ref))  # ties keep the reference
+    i, f_x_i = (challenger, f_ch) if reset else (run.reference, f_ref)
+    run.reference = i
+    return i, f_x_i, None, (challenger, f_ch, f_ref, reset)
 
 
-_METHODS: dict[str, tuple[str, type[_StepperBase]]] = {
-    "eg": ("EG", _ExtragradientStepper),
-    "gmini": ("G-Mini-EG", _GreedyMiniStepper),
-    "rmini": ("R-Mini-EG", _RandomMiniStepper),
-    "wmax": ("Watchdog-Max", _WatchdogMaxStepper),
+# method id -> (display name, probe, start hook). A probe makes the method's
+# charged reads at x_k and returns (i, F_i(x_k), F(x_k) or None, watchdog
+# tuple); the driver then moves coordinate i to reach y_k, or finds the
+# session at y_k already when i is None. A start hook runs once before the
+# first iteration and returns True when x_0 is an exact root.
+_METHODS = {
+    "eg": ("EG", _probe_eg, None),
+    "gmini": ("G-Mini-EG", _probe_gmini, None),
+    "rmini": ("R-Mini-EG", _probe_rmini, None),
+    "wmax": ("Watchdog-Max", _probe_wmax, _start_wmax),
 }
 
 METHOD_IDS = tuple(_METHODS)
@@ -633,141 +414,117 @@ def run_solver(
     x0: np.ndarray | None = None,
     projection: Projection | None = None,
     callback: Callable[[StepObservation], None] | None = None,
-    diagnostics: bool = False,
     index_sampler: IndexSampler | None = None,
 ) -> RunResult:
     """Run one solver on one problem instance.
 
     ``x0`` defaults to the origin and is projected onto the feasible region
-    before the run starts; ``projection`` defaults to the problem's feasible
-    region. ``callback`` receives a :class:`StepObservation` after every
-    iteration (this forces per-iteration array copies; leave it None for
-    timed runs). ``diagnostics`` additionally records the rank of each
-    selected coordinate's magnitude within ``|F(x_k)|`` (1 = largest), at
-    the cost of one full (uncharged) map evaluation per iteration, tallied
-    in a separate ledger. ``index_sampler`` overrides the coordinate draw of
-    the randomized methods -- chiefly a testing hook.
+    before the run starts (a non-finite projected start raises
+    :class:`~minieg.core.ConfigurationError`); ``projection`` defaults to the
+    problem's feasible region. ``callback`` receives a
+    :class:`StepObservation` after every iteration (this forces
+    per-iteration array copies; leave it None for timed runs) --
+    :func:`minieg.bench.rank_trace` builds its rank diagnostics on it.
+    ``index_sampler`` overrides the coordinate draw of the randomized
+    methods -- chiefly a testing hook.
 
     Wall time covers the solve loop only; any spectral setup the method
     needs is performed (and cached on the problem) before the clock starts.
     """
-    if method not in _METHODS:
-        raise ConfigurationError(
-            f"unknown method {method!r}; choose from {', '.join(METHOD_IDS)}"
-        )
+    method_display_name(method)  # rejects an unknown method id
     cfg = config if config is not None else SolverConfig()
     proj = projection if projection is not None else problem.projection
-    if x0 is None:
-        x0 = np.zeros(problem.dim)
-    x0 = np.asarray(proj(np.asarray(x0, dtype=float)), dtype=float)
+    x0 = np.zeros(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
+    x0 = np.asarray(proj(x0), dtype=float)
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError("the projected start point must be finite")
 
+    l = np.asarray(problem.componentwise_lipschitz, dtype=float)
+    if l.shape != (problem.dim,) or np.any(l <= 0) or not np.all(np.isfinite(l)):
+        raise ConfigurationError(
+            "problem must provide positive finite componentwise Lipschitz constants"
+        )
+    scale = None
     if method == "eg":
-        problem.ensure_global_lipschitz()  # outside the timed section
+        L = problem.ensure_global_lipschitz()  # outside the timed section
+        if L is None or L <= 0 or not np.isfinite(L):
+            raise ConfigurationError(f"global Lipschitz bound must be positive, got {L}")
+        scale = cfg.rho / L
+    if index_sampler is None and method in ("rmini", "wmax"):
+        index_sampler = lipschitz_power_sampler(l, cfg.gamma)
 
-    capture = callback is not None or diagnostics
-    _, stepper_cls = _METHODS[method]
-    stepper = stepper_cls(problem, proj, cfg, capture=capture, sampler=index_sampler)
+    _, probe, start = _METHODS[method]
     ledger = CostLedger(problem.dim)
     session = problem.open_session(x0, ledger)
-    gen = seeded_generator(cfg.seed, STREAM_SOLVER)
-    diag_ledger = CostLedger(problem.dim) if diagnostics else None
+    run = _Run(session, seeded_generator(cfg.seed, STREAM_SOLVER), index_sampler, scale)
 
     trace: list[IterationRecord] = []
-    want_all = cfg.trace is TraceLevel.FULL
-    want_summary = cfg.trace is TraceLevel.SUMMARY
+    record_every = {TraceLevel.FULL: 1, TraceLevel.SUMMARY: 100}.get(cfg.trace)
+    rho, tolerance, last_k = cfg.rho, cfg.tolerance, cfg.max_iterations - 1
+
+    status, iterations = RunStatus.ITERATION_CAP, cfg.max_iterations
+    final_point = final_residual = failure = None
 
     t0 = time.perf_counter()
-    early = stepper.start(session, gen)
-    if early is not None:
-        point, residual = early
-        return RunResult(
-            method=method,
-            status=RunStatus.CONVERGED,
-            final_point=point,
-            final_residual=residual,
-            iterations=0,
-            nf=ledger.nf,
-            wall_time_seconds=time.perf_counter() - t0,
-            trace=trace,
-            ledger=ledger,
-            config=cfg,
-            diagnostic_ledger=diag_ledger,
-        )
+    if start is not None and start(run):  # x_0 is an exact root: nothing to iterate
+        status, iterations = RunStatus.CONVERGED, 0
+        final_point, final_residual = session.point.copy(), 0.0
 
-    status = RunStatus.ITERATION_CAP
-    final_point: np.ndarray | None = None
-    final_residual: float | None = None
-    iterations = cfg.max_iterations
-    failure: StepsizeFailure | None = None
+    for k in range(iterations):
+        x = session.point.copy()
+        i, f_x_i, f_x, (challenger, f_ch, f_ref, reset) = probe(run, k)
+        if i is not None:
+            delta = -(rho / l[i]) * f_x_i
+            if delta != 0.0:
+                session.shift_coordinate(i, delta)
+        f_y = session.eval_full()
+        norm_sq = float(np.dot(f_y, f_y))
+        residual = float(np.sqrt(norm_sq))
+        converged = residual <= tolerance
+        # The probe point is copied only where it is reported.
+        y = session.point.copy() if converged or k == last_k or callback is not None else None
 
-    for k in range(cfg.max_iterations):
-        try:
-            outcome = stepper.step(
-                k, session, gen, final_iteration=(k == cfg.max_iterations - 1)
-            )
-        except StepsizeFailure as exc:
-            status = RunStatus.STEPSIZE_FAILURE
-            failure = exc
-            iterations = k
-            final_point = (
-                exc.point.copy() if exc.point is not None else session.point.copy()
-            )
-            break
+        beta, x_next = 0.0, None
+        if not converged:
+            try:
+                if i is None:
+                    beta = beta_full(f_y, x, session.point, norm_sq=norm_sq, iteration=k)
+                else:
+                    beta = beta_component(f_y, i, f_x_i, l[i], rho, norm_sq=norm_sq, iteration=k)
+            except StepsizeFailure as exc:
+                exc.point = x  # report the iterate the failing step started from
+                status, iterations, failure = RunStatus.STEPSIZE_FAILURE, k, exc
+                final_point = x.copy()
+                break
+            x_next = proj(x - beta * f_y)
+            session.set_point(x_next)
 
-        rank = None
-        if diagnostics and outcome.selected_index is not None:
-            f_ref = problem.eval_full(outcome.observation.x)
-            diag_ledger.charge_full()
-            chosen = abs(f_ref[outcome.selected_index])
-            rank = 1 + int(np.count_nonzero(np.abs(f_ref) > chosen))
-
-        terminal = outcome.converged or k == cfg.max_iterations - 1
-        if want_all or (want_summary and (k % 100 == 0 or terminal)):
-            trace.append(
-                IterationRecord(
-                    k=k,
-                    selected_index=outcome.selected_index,
-                    residual_y=outcome.residual_y,
-                    beta=outcome.beta,
-                    nf_so_far=ledger.nf,
-                    selected_rank=rank,
-                    reset=outcome.reset,
-                )
-            )
+        if record_every and (k % record_every == 0 or converged or k == last_k):
+            trace.append(IterationRecord(k, i, residual, beta, ledger.nf, reset))
         if callback is not None:
-            callback(outcome.observation)
-
-        if outcome.converged:
-            status = RunStatus.CONVERGED
-            final_point = outcome.final_point
-            final_residual = outcome.residual_y
-            iterations = k + 1
+            callback(StepObservation(
+                k=k, x=x, y=y,
+                x_next=None if converged else np.array(x_next, dtype=float, copy=True),
+                f_y=f_y, f_x=f_x, selected_index=i, selected_value=f_x_i,
+                beta=beta, residual_y=residual, converged=converged,
+                challenger_index=challenger, challenger_value=f_ch,
+                reference_value=f_ref, reset=reset,
+            ))
+        if converged:
+            status, iterations = RunStatus.CONVERGED, k + 1
             break
 
     wall = time.perf_counter() - t0
 
-    if final_point is None and status is RunStatus.ITERATION_CAP:
-        # Report the last probe point with the residual measured there, so
-        # the status/residual relationship stays exact.
-        final_point = outcome.final_point
-        final_residual = outcome.residual_y
-    if final_point is None:
-        final_point = session.point.copy()
-    if final_residual is None:
+    if failure is not None:
         # Reporting-only evaluation; deliberately not charged to the ledger.
         final_residual = float(np.linalg.norm(problem.eval_full(final_point)))
+    elif final_point is None:
+        # The last probe point and the residual measured there, so status and residual agree.
+        final_point, final_residual = y.copy(), residual
 
     return RunResult(
-        method=method,
-        status=status,
-        final_point=final_point,
-        final_residual=final_residual,
-        iterations=iterations,
-        nf=ledger.nf,
-        wall_time_seconds=wall,
-        trace=trace,
-        ledger=ledger,
-        config=cfg,
-        diagnostic_ledger=diag_ledger,
-        failure=failure,
+        method=method, status=status, final_point=final_point,
+        final_residual=final_residual, iterations=iterations, nf=ledger.nf,
+        wall_time_seconds=wall, trace=trace, ledger=ledger, config=cfg, failure=failure,
     )

@@ -237,10 +237,13 @@ def test_rank_trace_rejects_the_full_vector_method():
 def test_rank_trace_reports_normalized_ranks(tmp_path):
     problem = synthetic_logreg(30, 60, seed=2)
     config = SolverConfig(max_iterations=200)
+    uncharged = []
+    evaluate = problem.eval_full
+    problem.eval_full = lambda x: uncharged.append(1) or evaluate(x)
     result, points = rank_trace(problem, method="wmax", config=config)
     assert points
     assert result.iterations == len(points)
-    assert result.diagnostic_ledger.full_evals == result.iterations
+    assert len(uncharged) == result.iterations
     for point in points:
         assert 0.0 < point.normalized_rank <= 1.0
         assert point.normalized_rank * problem.dim == pytest.approx(

@@ -27,6 +27,7 @@ from minieg import (
     run_solver,
     seeded_generator,
 )
+from minieg.bench import rank_trace
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
 from minieg.problems import (
     AffineMonotoneProblem,
@@ -52,6 +53,17 @@ def test_beta_full_zero_map_raises_solution_found():
     with pytest.raises(SolutionFound) as info:
         beta_full(np.zeros(2), np.ones(2), y)
     np.testing.assert_array_equal(info.value.point, y)
+
+
+def test_beta_full_negative_inner_product_fails():
+    # <F(y), x - y> = (-1) * 2 < 0: the full probe overshot the root.
+    with pytest.raises(StepsizeFailure) as info:
+        beta_full(np.array([-1.0, 0.0]), np.array([2.0, 0.0]), np.zeros(2), iteration=4)
+    err = info.value
+    assert err.product == -2.0
+    assert err.coordinate is None
+    assert err.iteration == 4
+    assert "<F(y), x - y>" in str(err)
 
 
 def test_beta_component_hand_value():
@@ -437,6 +449,22 @@ def test_misdeclared_slope_aborts_with_stepsize_failure(method):
     assert result.final_residual == 2.0
 
 
+def test_underestimated_global_constant_aborts_the_full_method():
+    matrix = random_spd_affine(8, seed=1)._M
+    problem = AffineMonotoneProblem(
+        matrix, global_lipschitz=0.05 * float(np.linalg.norm(matrix, 2))
+    )
+    x0 = np.ones(8)
+    result = run_solver(problem, "eg", SolverConfig(max_iterations=5000), x0=x0)
+    assert result.status is RunStatus.STEPSIZE_FAILURE
+    assert result.iterations == 0
+    assert result.failure.iteration == 0
+    assert result.failure.coordinate is None
+    assert result.failure.product < 0
+    np.testing.assert_array_equal(result.final_point, x0)
+    assert result.final_residual == float(np.linalg.norm(matrix @ x0))
+
+
 def test_correct_constants_do_not_fail():
     problem = random_spd_affine(6, seed=8)
     for method in ("gmini", "rmini", "wmax"):
@@ -484,30 +512,48 @@ def test_trace_level_full_records_every_iteration():
     assert all(r.reset in (True, False) for r in result.trace)
 
 
+def _count_uncharged_evaluations(problem):
+    """Count calls of ``problem.eval_full``, which no ledger is charged for."""
+    calls = []
+    evaluate = problem.eval_full
+
+    def counted(x):
+        calls.append(1)
+        return evaluate(x)
+
+    problem.eval_full = counted
+    return calls
+
+
 def test_diagnostics_record_integer_ranks():
     problem = build_cs_instance(24, 8, 3, seed=7)
-    config = SolverConfig(max_iterations=40, tolerance=1e-300, trace="full")
-    result = run_solver(problem, "rmini", config, diagnostics=True)
-    ranks = [r.selected_rank for r in result.trace]
-    assert all(isinstance(r, int) and 1 <= r <= problem.dim for r in ranks)
-    # The extra evaluations land in their own ledger, not the charged one.
-    assert result.diagnostic_ledger.full_evals == 40
+    config = SolverConfig(max_iterations=40, tolerance=1e-300)
+    uncharged = _count_uncharged_evaluations(problem)
+    result, points = rank_trace(problem, "rmini", config)
+    ranks = [p.normalized_rank * problem.dim for p in points]
+    assert len(ranks) == 40
+    assert all(r == pytest.approx(round(r)) and 1 <= round(r) <= problem.dim for r in ranks)
+    # One extra evaluation per point, none of them charged to the run's ledger.
+    assert len(uncharged) == 40
     assert result.ledger.nf_exact() == _nf_identity("rmini", 40, problem.dim)
 
 
 def test_greedy_diagnostics_rank_is_always_one():
     problem = random_spd_affine(10, seed=12)
-    config = SolverConfig(max_iterations=25, tolerance=1e-300, trace="full")
-    result = run_solver(problem, "gmini", config, diagnostics=True)
-    assert all(r.selected_rank == 1 for r in result.trace)
+    config = SolverConfig(max_iterations=25, tolerance=1e-300)
+    _, points = rank_trace(problem, "gmini", config)
+    assert len(points) == 25
+    assert all(p.normalized_rank == 1 / problem.dim for p in points)
 
 
 def test_rank_is_absent_without_diagnostics():
     problem = random_spd_affine(6, seed=2)
     config = SolverConfig(max_iterations=10, tolerance=1e-300, trace="full")
+    uncharged = _count_uncharged_evaluations(problem)
     result = run_solver(problem, "rmini", config)
-    assert all(r.selected_rank is None for r in result.trace)
-    assert result.diagnostic_ledger is None
+    assert len(result.trace) == 10
+    assert uncharged == []
+    assert result.ledger.nf_exact() == _nf_identity("rmini", 10, problem.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +611,15 @@ def test_method_registry():
         method_display_name("newton")
     with pytest.raises(ConfigurationError):
         run_solver(random_spd_affine(2, seed=0), "newton")
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_rejects_a_non_finite_start_point(method):
+    problem = build_cs_instance(64, 16, 4, seed=3)
+    x0 = np.zeros(problem.dim)
+    x0[3] = np.nan
+    with pytest.raises(ConfigurationError, match="finite"):
+        run_solver(problem, method, SolverConfig(max_iterations=20_000), x0=x0)
 
 
 def test_rejects_mismatched_start_dimension():
