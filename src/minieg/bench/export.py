@@ -104,7 +104,7 @@ def result_to_jsonable(result: ExperimentResult) -> dict:
                 "itr": r.itr,
                 "nf": r.nf,
                 "tcpu_s": r.tcpu_s,
-                "final_residual": r.final_residual,
+                "final_residual": _clean(r.final_residual),
                 "status": r.status,
                 "recovery_error": _clean(r.recovery_error),
             }

@@ -304,13 +304,17 @@ def run_experiment(spec: ExperimentSpec, *, progress=None) -> ExperimentResult:
     return ExperimentResult(spec=spec, rows=rows, aggregates=aggregates, metadata=metadata)
 
 
+# Statuses of runs that broke down; they are counted, not averaged.
+_FAILED = (RunStatus.STEPSIZE_FAILURE.value, RunStatus.NON_FINITE_RESIDUAL.value)
+
+
 def _aggregate(
     spec: ExperimentSpec, rows: list[TrialRow], reference: str
 ) -> dict[str, MethodAggregate]:
     aggregates: dict[str, MethodAggregate] = {}
     for method in spec.methods:
         mine = [r for r in rows if r.method == method]
-        kept = [r for r in mine if r.status != RunStatus.STEPSIZE_FAILURE.value]
+        kept = [r for r in mine if r.status not in _FAILED]
         failed = len(mine) - len(kept)
 
         def stats(values: list[float]) -> tuple[float, float]:

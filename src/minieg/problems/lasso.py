@@ -96,6 +96,8 @@ class CSProblem(MonotoneMapping):
         n = A.shape[1]
         if n == 0:
             raise ConfigurationError("sensing matrix needs at least one column")
+        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+            raise ConfigurationError("sensing matrix and measurements must be finite")
 
         self._A = A
         self._b = b
@@ -104,8 +106,8 @@ class CSProblem(MonotoneMapping):
         atb = A.T @ b
         if reg is None:
             reg = 0.1 * float(np.abs(atb).max())
-        if reg <= 0:
-            raise ConfigurationError(f"reg must be positive, got {reg}")
+        if not (np.isfinite(reg) and reg > 0):
+            raise ConfigurationError(f"reg must be positive and finite, got {reg}")
         self._reg = float(reg)
         self._c_top = self._reg - atb          # (Hz+c) upper half offset
         self._c_bot = self._reg + atb          # lower half offset

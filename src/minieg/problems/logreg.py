@@ -6,8 +6,14 @@ The map is the gradient of the (strongly convex) regularized log-loss
 
 so its roots are the training optima. Sessions cache the per-sample margins
 ``m_s = b_s <a_s, x>``; a single-coordinate move touches only the samples in
-which that feature occurs, which is what makes the coordinate solvers cheap
-on sparse data.
+which that feature occurs.
+
+The features are stored feature-major, one row per feature, in the layout
+the input arrived in. Dense input becomes one C-contiguous ``(n, N)`` array:
+full evaluations and margin rebuilds are BLAS products, and a coordinate
+read or shift walks one contiguous row of ``N`` entries. Scipy-sparse input
+becomes CSR: products run scipy's sparse kernels, and a coordinate read or
+shift touches only the row's stored entries.
 """
 
 from __future__ import annotations
@@ -39,49 +45,64 @@ class LogRegProblem(MonotoneMapping):
     Parameters
     ----------
     features:
-        ``(N, n)`` sample-major design matrix, dense or scipy sparse.
+        ``(N, n)`` sample-major design matrix, dense or scipy sparse. The
+        input type picks the storage: a dense array is kept as one
+        C-contiguous feature-major ``ndarray``, scipy-sparse input as CSR.
     labels:
         ``(N,)`` vector of +-1 labels.
     reg:
-        Ridge coefficient (must be positive: it is what makes the map
-        strongly monotone and the componentwise constants nonzero for
+        Ridge coefficient (must be positive and finite: it is what makes the
+        map strongly monotone and the componentwise constants nonzero for
         features that never occur).
 
     The componentwise Lipschitz constants are ``h_ii / (4N) + reg`` with
     ``h_ii`` the squared Euclidean norm of feature ``i`` across samples; the
     global constant ``lambda_1(A A^T) / (4N) + reg`` is estimated by power
-    iteration over the smaller of the two Gram matrices.
+    iteration over the smaller of the two Gram matrices. A coordinate read
+    or shift costs one row of the feature matrix: ``N`` contiguous entries
+    for dense input, the feature's stored entries for sparse input.
     """
 
     def __init__(self, features, labels, *, reg: float = 0.1, spectral_seed: int = 0) -> None:
-        if reg <= 0:
-            raise ConfigurationError(f"reg must be positive, got {reg}")
+        if not (np.isfinite(reg) and reg > 0):
+            raise ConfigurationError(f"reg must be positive and finite, got {reg}")
         labels = np.asarray(labels, dtype=float).ravel()
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be +-1")
 
         # Store feature-major (n, N): column s is sample a_s.
-        if sp.issparse(features):
-            A = sp.csr_matrix(features).T.tocsr()
+        self._sparse = sp.issparse(features)
+        if self._sparse:
+            A = sp.csr_matrix(features).T.tocsr()  # a fresh copy, safe to canonicalize
+            A.sum_duplicates()  # a shift must move every stored copy of an entry
+            finite = np.all(np.isfinite(A.data))
         else:
             X = np.asarray(features, dtype=float)
             if X.ndim != 2:
                 raise ConfigurationError(f"features must be 2-d, got shape {X.shape}")
-            A = sp.csr_matrix(X.T)
+            A = np.array(X.T, order="C")
+            finite = np.all(np.isfinite(A))
+        if not finite:
+            raise ConfigurationError("features must be finite")
         if A.shape[1] != labels.shape[0]:
             raise ConfigurationError(
                 f"feature matrix has {A.shape[1]} samples but there are {labels.shape[0]} labels"
             )
 
-        self._A = A                      # (n, N) feature-major
-        self._At = A.T.tocsr()           # (N, n) for margin rebuilds
+        self._A = A  # (n, N) feature-major
+        # (N, n) for margin rebuilds: a transposed view of a dense A, a CSR copy of a sparse one.
+        self._At = A.T.tocsr() if self._sparse else A.T
         self._b = labels
         self._reg = float(reg)
         self._n, self._N = A.shape
         if self._n == 0 or self._N == 0:
             raise ConfigurationError("need at least one feature and one sample")
 
-        h = np.asarray(A.multiply(A).sum(axis=1)).ravel()  # per-feature squared norms
+        # Per-feature squared norms.
+        if self._sparse:
+            h = np.asarray(A.multiply(A).sum(axis=1)).ravel()
+        else:
+            h = np.einsum("ij,ij->i", A, A)
         self._l = h / (4.0 * self._N) + self._reg
         self._spectral_seed = spectral_seed
         self._global_lipschitz: float | None = None
@@ -132,10 +153,21 @@ class LogRegProblem(MonotoneMapping):
         return LogRegSession(self, x0, ledger)
 
 
+_ALL_SAMPLES = slice(None)
+
+
 class LogRegSession(EvaluationSession):
-    """Caches margins and sample weights; coordinate moves are O(nnz of row)."""
+    """Caches margins and sample weights; coordinate moves cost one feature row."""
 
     _problem: LogRegProblem
+
+    def _row(self, i: int):
+        """Feature ``i`` as ``(sample indices, values)``; the indices are a slice when dense."""
+        A = self._problem._A
+        if not self._problem._sparse:
+            return _ALL_SAMPLES, A[i]
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        return A.indices[lo:hi], A.data[lo:hi]
 
     def _rebuild(self) -> None:
         p = self._problem
@@ -144,13 +176,11 @@ class LogRegSession(EvaluationSession):
 
     def _shift(self, i: int, delta: float) -> None:
         p = self._problem
-        A = p._A
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        idx = A.indices[lo:hi]
-        if idx.size == 0:
+        idx, values = self._row(i)
+        if values.size == 0:
             return
         b_idx = p._b[idx]
-        self._m[idx] += b_idx * A.data[lo:hi] * delta
+        self._m[idx] += b_idx * values * delta
         self._w[idx] = -b_idx * expit(-self._m[idx]) / p._N
 
     def _compute_full(self) -> np.ndarray:
@@ -159,9 +189,8 @@ class LogRegSession(EvaluationSession):
 
     def _compute_component(self, i: int) -> float:
         p = self._problem
-        A = p._A
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        acc = float(np.dot(A.data[lo:hi], self._w[A.indices[lo:hi]]))
+        idx, values = self._row(i)
+        acc = float(np.dot(values, self._w[idx]))
         return acc + p._reg * float(self._x[i])
 
 

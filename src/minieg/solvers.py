@@ -29,11 +29,13 @@ ledger identities::
     rmini:  nf == iterations * (1 + 1/n)
     wmax:   nf == 1 + iterations * (1 + 2/n)
 
-A run also ends at the iteration cap or when a step-size sign test fails.
+A run also ends at the iteration cap, when a step-size sign test fails, or
+when the probe residual is not finite (NaN or infinite).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -119,6 +121,7 @@ class RunStatus(str, Enum):
     CONVERGED = "converged"
     ITERATION_CAP = "iteration_cap_reached"
     STEPSIZE_FAILURE = "stepsize_failure"
+    NON_FINITE_RESIDUAL = "non_finite_residual"
 
 
 class TraceLevel(str, Enum):
@@ -213,7 +216,9 @@ class RunResult:
     probe point when the iteration cap is hit, and ``final_residual`` is the
     map norm measured at that point -- so the status is ``CONVERGED`` exactly
     when ``final_residual <= tolerance``. After a step-size failure the pair
-    reports the iterate the failing step started from.
+    reports the iterate the failing step started from; after a non-finite
+    residual, the probe point and the residual read there. Either failure
+    counts only the iterations completed before it.
     """
 
     method: str
@@ -486,6 +491,10 @@ def run_solver(
 
         beta, x_next = 0.0, None
         if not converged:
+            if not math.isfinite(residual):
+                status, iterations = RunStatus.NON_FINITE_RESIDUAL, k
+                final_point, final_residual = session.point.copy(), residual
+                break
             try:
                 if i is None:
                     beta = beta_full(f_y, x, session.point, norm_sq=norm_sq, iteration=k)

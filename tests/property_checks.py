@@ -6,10 +6,23 @@ caller can report what was actually exercised.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from minieg import SolverConfig, run_solver, seeded_generator
 from minieg.core import STREAM_SOLVER
 from minieg.problems import LogRegProblem
+
+
+def sparse_twin(problem):
+    """The same logistic-regression problem with its features handed over as CSR.
+
+    A dense problem stores its design feature-major and bit for bit, so the
+    transpose of that copy is the original sample-major design.
+    """
+    return LogRegProblem(
+        sp.csr_matrix(problem._A.T), problem._b,
+        reg=problem.reg, spectral_seed=problem._spectral_seed,
+    )
 
 
 def check_projection_nonexpansive(projection, dim, pairs=1000, seed=0, scale=5.0):

@@ -195,6 +195,30 @@ def test_failed_trials_are_excluded_from_aggregates(tmp_path):
     assert all(t["status"] == "stepsize_failure" for t in payload["trials"])
 
 
+class _NaNProblem(_SignFlipProblem):
+    """A line whose map reads NaN everywhere."""
+
+    def eval_full(self, x):
+        return np.full(1, np.nan) + self._check_point(x)
+
+
+def test_non_finite_trials_count_as_failed(tmp_path):
+    spec = ExperimentSpec(
+        source=FixedProblemSource(_NaNProblem(), label="nan"), trials=2,
+    )
+    result = run_experiment(spec)
+    for agg in result.aggregates.values():
+        assert agg.failed == 2 and agg.converged == 0 and agg.capped == 0
+        assert math.isnan(agg.mean_itr) and math.isnan(agg.mean_final_residual)
+
+    path = tmp_path / "non_finite.json"
+    write_result_json(path, result)
+    payload = json.loads(path.read_text())
+    jsonschema.validate(payload, load_results_schema())
+    assert all(t["status"] == "non_finite_residual" for t in payload["trials"])
+    assert all(t["final_residual"] is None for t in payload["trials"])
+
+
 def test_sweep_produces_a_row_per_cell_and_realizes_the_rho_trend(tmp_path):
     spec = ExperimentSpec(
         source=FixedProblemSource(synthetic_logreg(20, 40, seed=0)),

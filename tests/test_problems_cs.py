@@ -164,3 +164,21 @@ def test_problem_validation():
         CSProblem(np.zeros((4, 3)), np.zeros(5))
     with pytest.raises(ConfigurationError):
         CSProblem(np.ones((2, 2)), np.zeros(2), reg=0.0)
+
+
+def _with_nan(values, index):
+    values = np.array(values, dtype=float)
+    values[index] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("sensing, measurements, reg", [
+    (_with_nan(np.eye(3), (1, 2)), np.ones(3), None),
+    (np.eye(3), _with_nan(np.ones(3), 0), None),  # would derive reg = nan
+    (np.eye(3), np.array([1.0, np.inf, 1.0]), 0.5),
+    (np.eye(3), np.ones(3), float("nan")),
+    (np.eye(3), np.ones(3), float("inf")),
+], ids=["nan-sensing", "nan-measurement", "inf-measurement", "nan-reg", "inf-reg"])
+def test_rejects_non_finite_problem_data(sensing, measurements, reg):
+    with pytest.raises(ConfigurationError, match="finite"):
+        CSProblem(sensing, measurements, reg=reg)

@@ -9,6 +9,7 @@ evaluation.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from property_checks import sparse_twin
 
 from minieg import CostLedger, seeded_generator
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
@@ -37,7 +38,7 @@ def _logreg_pair(seed):
 BACKENDS = {
     "affine": lambda: random_spd_affine(24, seed=11),
     "cs": lambda: build_cs_instance(32, 12, 4, seed=11),
-    "logreg-sparse": lambda: synthetic_logreg(20, 40, seed=11),
+    "logreg-sparse": lambda: sparse_twin(synthetic_logreg(20, 40, seed=11)),
     "logreg-dense": lambda: _logreg_pair(11)[1],
 }
 
@@ -124,3 +125,18 @@ def test_sparse_and_dense_gradient_backends_agree():
         np.testing.assert_allclose(
             sparse.eval_full(x), dense.eval_full(x), rtol=0.0, atol=1e-13
         )
+
+
+def test_duplicated_sparse_entries_are_summed_before_a_shift():
+    # Sample 0 stores feature 1 twice (0.5 + 0.5): the design is [[1, 1, 0], [0, 2, 1]].
+    features = sp.csr_matrix(
+        (np.array([1.0, 0.5, 0.5, 2.0, 1.0]), np.array([0, 1, 1, 1, 2]), np.array([0, 3, 5])),
+        shape=(2, 3),
+    )
+    problem = LogRegProblem(features, [1.0, -1.0], reg=0.1)
+    assert features.nnz == 5  # the caller's matrix is left as it was
+    session = problem.open_session(np.zeros(3), CostLedger(3))
+    session.shift_coordinate(1, 0.7)
+    fresh = problem.eval_full(session.point)
+    np.testing.assert_allclose(session.eval_full(), fresh, rtol=0.0, atol=1e-15)
+    assert abs(session.eval_component(1) - fresh[1]) <= 1e-15

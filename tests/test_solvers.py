@@ -4,6 +4,7 @@ The hand-checked values below are exact in IEEE arithmetic (they only involve
 powers of two), so the assertions use strict equality where that holds.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -470,6 +471,51 @@ def test_correct_constants_do_not_fail():
     for method in ("gmini", "rmini", "wmax"):
         result = run_solver(problem, method, SolverConfig(max_iterations=500))
         assert result.status is not RunStatus.STEPSIZE_FAILURE
+
+
+class _TurnsNaN(MonotoneMapping):
+    """The rotation F(x) = (x_2, -x_1), which reads NaN from its tenth evaluation on."""
+
+    def __init__(self):
+        self.calls = 0
+
+    @property
+    def dim(self):
+        return 2
+
+    @property
+    def componentwise_lipschitz(self):
+        return np.ones(2)
+
+    def ensure_global_lipschitz(self):
+        return 1.0
+
+    def eval_full(self, x):
+        x = self._check_point(x)
+        self.calls += 1
+        if self.calls >= 10:
+            return np.full(2, np.nan)
+        return np.array([x[1], -x[0]])
+
+    def open_session(self, x0, ledger):
+        return _GenericSession(self, x0, ledger)
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_a_non_finite_residual_ends_the_run(method):
+    problem = _TurnsNaN()
+    config = SolverConfig(max_iterations=1000, trace="full")
+    seen = []
+    result = run_solver(problem, method, config, x0=np.array([1.0, 0.0]), callback=seen.append)
+    assert result.status is RunStatus.NON_FINITE_RESIDUAL
+    assert not result.converged and result.failure is None
+    # The run stops at the first probe that reads NaN: it completed every
+    # earlier iteration and nothing after it.
+    assert 0 < result.iterations < 10
+    assert len(result.trace) == len(seen) == result.iterations
+    assert all(math.isfinite(record.residual_y) for record in result.trace)
+    assert math.isnan(result.final_residual)
+    assert result.final_point.shape == (2,)
 
 
 # ---------------------------------------------------------------------------
