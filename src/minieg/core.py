@@ -234,6 +234,13 @@ class EvaluationSession(ABC):
     ``set_point`` rebuilds the cache from scratch; ``shift_coordinate``
     performs the incremental update that makes single-coordinate methods
     cheap. Subclasses implement the four ``_``-prefixed hooks.
+
+    Work is not redone on a state that has not moved: ``set_point`` to the
+    very bytes of the point the cache was last rebuilt at, with no shift
+    since, keeps the cache, and ``eval_full`` keeps the last ``F`` it
+    computed until the next shift or rebuild. Both are exact, since a
+    rebuild from the same bytes reproduces the same cache bit for bit, and
+    neither changes what the ledger is charged.
     """
 
     def __init__(self, problem: MonotoneMapping, x0: np.ndarray, ledger: CostLedger) -> None:
@@ -244,7 +251,10 @@ class EvaluationSession(ABC):
         self._problem = problem
         self._ledger = ledger
         self._x = problem._check_point(x0).copy()
+        self._x_bits = memoryview(self._x.view(np.uint64))  # _x's raw bytes, for equality tests
         self._rebuild()
+        self._rebuilt = True  # the cache is a rebuild of _x and nothing has moved since
+        self._full: np.ndarray | None = None  # F at _x once computed, until the next move
 
     # -- state ---------------------------------------------------------------
 
@@ -262,21 +272,40 @@ class EvaluationSession(ABC):
         return self._x
 
     def set_point(self, x: np.ndarray) -> None:
-        """Move to ``x`` and rebuild the backend cache. Not charged."""
-        self._x[:] = self._problem._check_point(x)
+        """Move to ``x`` and rebuild the backend cache. Not charged.
+
+        The rebuild is skipped when ``x`` has the same bytes as the point
+        the cache was rebuilt at and nothing has moved since.
+        """
+        x = self._problem._check_point(x)
+        # Compared as integers, so -0.0 and 0.0 differ and a NaN equals
+        # itself; the memoryview comparison copies nothing and stops at the
+        # first differing entry.
+        if self._rebuilt and self._x_bits == memoryview(x.view(np.uint64)):
+            return
+        self._rebuilt, self._full = False, None
+        self._x[:] = x
         self._rebuild()
+        self._rebuilt = True
 
     def shift_coordinate(self, i: int, delta: float) -> None:
         """Add ``delta`` to coordinate ``i``, updating the cache incrementally."""
+        self._rebuilt, self._full = False, None
         self._x[i] += delta
         self._shift(i, float(delta))
 
     # -- charged reads ---------------------------------------------------------
 
     def eval_full(self) -> np.ndarray:
-        """``F`` at the current point (a fresh array). Charges 1 full eval."""
+        """``F`` at the current point (a fresh array). Charges 1 full eval.
+
+        A repeated read at an unchanged point returns a copy of the ``F``
+        computed before, and is charged all the same.
+        """
         self._ledger.charge_full()
-        return self._compute_full()
+        if self._full is None:
+            self._full = self._compute_full()
+        return self._full.copy()
 
     def eval_component(self, i: int) -> float:
         """``F_i`` at the current point. Charges ``1/n`` of a full eval."""
@@ -294,7 +323,10 @@ class EvaluationSession(ABC):
         self._rebuild()
 
     @abstractmethod
-    def _compute_full(self) -> np.ndarray: ...
+    def _compute_full(self) -> np.ndarray:
+        """``F`` at ``self._x``. May return a buffer the session owns: it is
+        copied before it is handed out, and must stay unchanged until the
+        next ``_shift`` or ``_rebuild``."""
 
     @abstractmethod
     def _compute_component(self, i: int) -> float: ...

@@ -136,7 +136,7 @@ class AffineSession(EvaluationSession):
         self._f += delta * self._problem._M[:, i]
 
     def _compute_full(self) -> np.ndarray:
-        return self._f.copy()
+        return self._f  # eval_full copies it
 
     def _compute_component(self, i: int) -> float:
         return float(self._f[i])

@@ -19,7 +19,7 @@ over the nonnegative orthant, which is what the solvers here consume.
 
 Sessions exploit the rank structure: ``H z = [g; -g]`` with ``g = B (u - v)``,
 so a full evaluation needs two sensing-matrix products, a coordinate read is
-O(1), and a coordinate shift updates ``g`` with a single cached Gram column.
+O(1), and a coordinate shift updates ``g`` with a single cached Gram row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ..core import (
     STREAM_INSTANCE,
     seeded_generator,
 )
-from .spectral import estimate_lambda_max
+from .spectral import estimate_lambda_max, require_converged
 
 __all__ = [
     "CSProblem",
@@ -72,7 +72,8 @@ class CSProblem(MonotoneMapping):
     constants are ``max(diag(A^T A), 1)`` duplicated across both halves --
     the slope of ``min(z_i, (Hz+c)_i)`` along ``e_i`` is either 1 or
     ``H_ii``. The global constant scales the estimated spectral norm of
-    ``H`` by ``sqrt(2n)`` to cover the nonsmooth min().
+    ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(); a power iteration
+    that does not converge raises :class:`ConfigurationError`.
     """
 
     def __init__(
@@ -102,7 +103,7 @@ class CSProblem(MonotoneMapping):
         self._A = A
         self._b = b
         self._n_signal = n
-        self._G = A.T @ A                      # Gram matrix, cached for column shifts
+        self._G = A.T @ A                      # Gram matrix, cached for row shifts
         atb = A.T @ b
         if reg is None:
             reg = 0.1 * float(np.abs(atb).max())
@@ -157,6 +158,7 @@ class CSProblem(MonotoneMapping):
                 lambda v: self._G @ v, self._n_signal, seed=self._spectral_seed
             )
             self.lambda_setup = est
+            require_converged(est)
             lambda_h = 2.0 * est.value  # spectrum of H is {0} U 2*spec(B)
             self._global_lipschitz = float(
                 np.sqrt(self.dim) * max(_SPECTRAL_SAFETY * lambda_h, 1.0)
@@ -204,30 +206,52 @@ class CSProblem(MonotoneMapping):
 
 
 class CSSession(EvaluationSession):
-    """Caches ``g = A^T A (u - v)``; shifts add one Gram column."""
+    """Caches ``g = A^T A (u - v)``; shifts add one Gram row.
+
+    Every product and elementwise step writes into a buffer allocated once
+    per session, with the same operations in the same order as
+    :meth:`CSProblem.eval_full`, so the results match it bit for bit.
+    """
 
     _problem: CSProblem
+
+    def __init__(self, problem: CSProblem, x0: np.ndarray, ledger: CostLedger) -> None:
+        n = problem._n_signal
+        self._d = np.empty(n)  # u - v
+        self._ad = np.empty(problem._A.shape[0])  # A (u - v)
+        self._g = np.empty(n)
+        self._step = np.empty(n)  # delta times one Gram row
+        self._f = np.empty(2 * n)  # H z + c, then F(z)
+        super().__init__(problem, x0, ledger)
 
     def _rebuild(self) -> None:
         p = self._problem
         n = p._n_signal
-        d = self._x[:n] - self._x[n:]
+        np.subtract(self._x[:n], self._x[n:], out=self._d)
         # Two sensing products rather than one Gram product: cheaper when
         # measurements are few, and identical in structure to eval_full.
-        self._g = p._A.T @ (p._A @ d)
+        np.matmul(p._A, self._d, out=self._ad)
+        np.matmul(p._A.T, self._ad, out=self._g)
 
     def _shift(self, i: int, delta: float) -> None:
         p = self._problem
         n = p._n_signal
+        # The Gram matrix is exactly symmetric, so the contiguous row holds
+        # the bits of the strided column.
         if i < n:
-            self._g += delta * p._G[:, i]
+            np.multiply(p._G[i], delta, out=self._step)
+            np.add(self._g, self._step, out=self._g)
         else:
-            self._g -= delta * p._G[:, i - n]
+            np.multiply(p._G[i - n], delta, out=self._step)
+            np.subtract(self._g, self._step, out=self._g)
 
     def _compute_full(self) -> np.ndarray:
         p = self._problem
-        q = np.concatenate([self._g + p._c_top, p._c_bot - self._g])
-        return np.minimum(self._x, q)
+        n = p._n_signal
+        f = self._f
+        np.add(self._g, p._c_top, out=f[:n])
+        np.subtract(p._c_bot, self._g, out=f[n:])
+        return np.minimum(self._x, f, out=f)
 
     def _compute_component(self, i: int) -> float:
         p = self._problem

@@ -30,7 +30,7 @@ from ..core import (
     STREAM_INSTANCE,
     seeded_generator,
 )
-from .spectral import estimate_lambda_max
+from .spectral import estimate_lambda_max, require_converged
 
 __all__ = ["LogRegProblem", "synthetic_logreg"]
 
@@ -58,7 +58,8 @@ class LogRegProblem(MonotoneMapping):
     The componentwise Lipschitz constants are ``h_ii / (4N) + reg`` with
     ``h_ii`` the squared Euclidean norm of feature ``i`` across samples; the
     global constant ``lambda_1(A A^T) / (4N) + reg`` is estimated by power
-    iteration over the smaller of the two Gram matrices. A coordinate read
+    iteration over the smaller of the two Gram matrices, and an iteration
+    that does not converge raises :class:`ConfigurationError`. A coordinate read
     or shift costs one row of the feature matrix: ``N`` contiguous entries
     for dense input, the feature's stored entries for sparse input.
     """
@@ -138,6 +139,7 @@ class LogRegProblem(MonotoneMapping):
                 dim = self._n
             est = estimate_lambda_max(matvec, dim, seed=self._spectral_seed)
             self.lambda_setup = est
+            require_converged(est)
             self._global_lipschitz = (
                 _SPECTRAL_SAFETY * est.value / (4.0 * self._N) + self._reg
             )
@@ -160,6 +162,11 @@ class LogRegSession(EvaluationSession):
     """Caches margins and sample weights; coordinate moves cost one feature row."""
 
     _problem: LogRegProblem
+
+    def __init__(self, problem: LogRegProblem, x0: np.ndarray, ledger: CostLedger) -> None:
+        self._f = np.empty(problem.dim)  # F(x); eval_full hands out copies
+        self._ridge = np.empty(problem.dim)  # reg * x
+        super().__init__(problem, x0, ledger)
 
     def _row(self, i: int):
         """Feature ``i`` as ``(sample indices, values)``; the indices are a slice when dense."""
@@ -185,7 +192,10 @@ class LogRegSession(EvaluationSession):
 
     def _compute_full(self) -> np.ndarray:
         p = self._problem
-        return p._A @ self._w + p._reg * self._x
+        np.multiply(p._reg, self._x, out=self._ridge)
+        # A sparse product cannot write into a buffer; a dense one can.
+        product = p._A @ self._w if p._sparse else np.matmul(p._A, self._w, out=self._f)
+        return np.add(product, self._ridge, out=self._f)
 
     def _compute_component(self, i: int) -> float:
         p = self._problem

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..core import ConfigurationError, STREAM_POWER, seeded_generator
 
-__all__ = ["SpectralEstimate", "estimate_lambda_max"]
+__all__ = ["SpectralEstimate", "estimate_lambda_max", "require_converged"]
 
 
 @dataclass(frozen=True)
@@ -86,3 +86,17 @@ def estimate_lambda_max(
         v = w / norm_w
 
     return SpectralEstimate(value=rayleigh, iterations=max_iterations, converged=False)
+
+
+def require_converged(estimate: SpectralEstimate) -> None:
+    """Raise :class:`ConfigurationError` unless the power iteration converged.
+
+    An unconverged estimate is only a lower bound on the largest eigenvalue;
+    a global Lipschitz bound scaled from it could be too small.
+    """
+    if not estimate.converged:
+        raise ConfigurationError(
+            f"the spectral estimate did not converge within {estimate.iterations} "
+            f"matvecs (last value {estimate.value:.6e}); it is only a lower bound "
+            "and cannot give a global Lipschitz bound"
+        )

@@ -290,6 +290,9 @@ def beta_component(
     return rho * product / (l_i * norm_sq)
 
 
+_SAMPLER_BLOCK = 1024
+
+
 def lipschitz_power_sampler(
     componentwise_lipschitz: np.ndarray, gamma: float
 ) -> IndexSampler:
@@ -297,6 +300,13 @@ def lipschitz_power_sampler(
 
     Uses an inverse-CDF lookup over a precomputed cumulative table;
     ``gamma = 0`` reduces to the uniform distribution.
+
+    Uniforms are drawn ``_SAMPLER_BLOCK`` at a time and mapped by one
+    vectorized lookup. A block of ``gen.random(k)`` holds the same values
+    as ``k`` scalar ``gen.random()`` calls, so the indices handed out are the
+    ones scalar draws would give; the generator itself runs up to one block
+    ahead. A block belongs to the generator that drew it: a call with any
+    other generator discards what is left of it.
     """
     weights = np.asarray(componentwise_lipschitz, dtype=float) ** gamma
     total = float(weights.sum())
@@ -304,10 +314,19 @@ def lipschitz_power_sampler(
         raise ConfigurationError("index weights must have a positive finite sum")
     cumulative = np.cumsum(weights / total)
     top = len(weights) - 1
+    owner: np.random.Generator | None = None  # the generator of the pending block
+    pending = iter(())
 
     def sampler(k: int, gen: np.random.Generator, session: EvaluationSession) -> int:
-        u = gen.random()
-        return min(int(np.searchsorted(cumulative, u, side="right")), top)
+        nonlocal owner, pending
+        if gen is owner:
+            i = next(pending, None)
+            if i is not None:
+                return i
+        owner = gen
+        u = gen.random(_SAMPLER_BLOCK)
+        pending = iter(np.minimum(np.searchsorted(cumulative, u, side="right"), top).tolist())
+        return next(pending)
 
     return sampler
 

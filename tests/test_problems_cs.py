@@ -7,8 +7,10 @@ from minieg import ConfigurationError, run_solver, SolverConfig, seeded_generato
 from minieg.core import STREAM_SOLVER
 from minieg.problems import (
     CSProblem,
+    SpectralEstimate,
     build_cs_instance,
     estimate_lambda_max,
+    lasso,
     load_instance,
     random_spd_affine,
     save_instance,
@@ -73,6 +75,24 @@ def test_coupling_factor_stays_in_unit_to_dimension_band(factory):
     problem = factory()
     kappa = problem.ensure_global_lipschitz() / problem.componentwise_lipschitz.max()
     assert 1.0 - 1e-12 <= kappa <= problem.dim + 1e-12
+
+
+def test_desk_gram_matrix_is_exactly_symmetric():
+    # Coordinate shifts read the contiguous Gram row in place of the column;
+    # that keeps traces bit for bit only while A.T @ A is built symmetric.
+    G = build_cs_instance(256, 64, 8, seed=0)._G
+    assert np.array_equal(G, G.T)
+
+
+def test_unconverged_spectral_estimate_fails_fast(monkeypatch):
+    capped = SpectralEstimate(value=3.0, iterations=17, converged=False)
+    monkeypatch.setattr(lasso, "estimate_lambda_max", lambda *args, **kwargs: capped)
+    problem = build_cs_instance(16, 8, 3, seed=4)
+    with pytest.raises(ConfigurationError, match="17 matvecs"):
+        problem.ensure_global_lipschitz()
+    assert problem.global_lipschitz is None
+    with pytest.raises(ConfigurationError, match="did not converge"):
+        run_solver(problem, "eg", SolverConfig())
 
 
 def test_structured_evaluation_matches_the_dense_formula():

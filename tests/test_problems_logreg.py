@@ -8,7 +8,7 @@ from property_checks import sparse_twin
 
 from minieg import ConfigurationError, SolverConfig, run_solver, seeded_generator
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
-from minieg.problems import LogRegProblem, SpectralEstimate, synthetic_logreg
+from minieg.problems import LogRegProblem, SpectralEstimate, logreg, synthetic_logreg
 
 
 def test_hand_computed_constants_and_gradient_at_zero():
@@ -49,6 +49,16 @@ def test_spectral_setup_is_cached_and_exposed():
     assert problem.lambda_setup.converged
     assert problem.ensure_global_lipschitz() == first
     assert problem.global_lipschitz == first
+
+
+def test_unconverged_spectral_estimate_fails_fast(monkeypatch):
+    capped = SpectralEstimate(value=3.0, iterations=23, converged=False)
+    monkeypatch.setattr(logreg, "estimate_lambda_max", lambda *args, **kwargs: capped)
+    problem = synthetic_logreg(12, 25, seed=4)
+    with pytest.raises(ConfigurationError, match="23 matvecs"):
+        problem.ensure_global_lipschitz()
+    assert problem.global_lipschitz is None
+    assert problem.lambda_setup is capped
 
 
 def test_synthetic_generator_is_deterministic():

@@ -140,3 +140,75 @@ def test_duplicated_sparse_entries_are_summed_before_a_shift():
     fresh = problem.eval_full(session.point)
     np.testing.assert_allclose(session.eval_full(), fresh, rtol=0.0, atol=1e-15)
     assert abs(session.eval_component(1) - fresh[1]) <= 1e-15
+
+
+def _count_rebuilds(session):
+    """Wrap the session's ``_rebuild`` hook; the returned list grows by one per call."""
+    calls = []
+    rebuild = session._rebuild
+
+    def counted():
+        calls.append(None)
+        rebuild()
+
+    session._rebuild = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_repeated_full_reads_are_fresh_copies_and_charged(name):
+    problem = BACKENDS[name]()
+    ledger = CostLedger(problem.dim)
+    session = problem.open_session(np.zeros(problem.dim), ledger)
+    first = session.eval_full()
+    second = session.eval_full()
+    assert second is not first
+    np.testing.assert_array_equal(second, first)
+    expected = first.copy()
+    first[:] = 1e9
+    second[:] = -1e9
+    np.testing.assert_array_equal(session.eval_full(), expected)
+    assert (ledger.full_evals, ledger.component_evals) == (3, 0)
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_set_point_to_the_rebuilt_bytes_skips_the_rebuild(name):
+    problem = BACKENDS[name]()
+    gen = seeded_generator(7, STREAM_SOLVER)
+    x = np.abs(gen.standard_normal(problem.dim))
+    x[0] = 0.0
+    session = problem.open_session(np.zeros(problem.dim), CostLedger(problem.dim))
+    calls = _count_rebuilds(session)
+    session.set_point(x)
+    assert len(calls) == 1
+    f = session.eval_full()
+    session.set_point(x.copy())
+    assert len(calls) == 1
+    np.testing.assert_array_equal(session.eval_full(), f)
+
+    negative_zero = x.copy()
+    negative_zero[0] = -0.0  # equal as a number, not as bytes
+    session.set_point(negative_zero)
+    assert len(calls) == 2
+    assert np.signbit(session.point[0])
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_set_point_after_a_shift_rebuilds(name):
+    problem = BACKENDS[name]()
+    gen = seeded_generator(8, STREAM_SOLVER)
+    x = np.abs(gen.standard_normal(problem.dim))
+    session = problem.open_session(x, CostLedger(problem.dim))
+    calls = _count_rebuilds(session)
+    before = session.eval_full()
+    session.shift_coordinate(1, 0.25)
+    assert session.eval_full()[1] != before[1]  # the kept F was dropped
+    shifted = session.point.copy()
+    session.set_point(shifted)  # the same bytes, but the cache was shifted, not rebuilt
+    assert len(calls) == 1
+    if name == "cs":
+        np.testing.assert_array_equal(session.eval_full(), problem.eval_full(shifted))
+    else:
+        np.testing.assert_allclose(
+            session.eval_full(), problem.eval_full(shifted), rtol=0.0, atol=1e-12
+        )

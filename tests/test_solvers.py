@@ -166,6 +166,35 @@ def test_sampler_rejects_degenerate_weights():
         lipschitz_power_sampler(np.zeros(3), 1.0)
 
 
+def _scalar_draws(l, gamma, gen, count):
+    """The reference lookup: one scalar uniform and one search per index."""
+    weights = np.asarray(l, dtype=float) ** gamma
+    cumulative = np.cumsum(weights / weights.sum())
+    return [
+        min(int(np.searchsorted(cumulative, gen.random(), side="right")), len(l) - 1)
+        for _ in range(count)
+    ]
+
+
+def test_sampler_block_draws_equal_scalar_draws_across_block_boundaries():
+    l = np.linspace(0.5, 4.0, 37)
+    sampler = lipschitz_power_sampler(l, 1.5)
+    gen = seeded_generator(21, STREAM_SOLVER)
+    count = 3 * 1024 + 517  # past three block boundaries
+    drawn = [sampler(k, gen, None) for k in range(count)]
+    assert drawn == _scalar_draws(l, 1.5, seeded_generator(21, STREAM_SOLVER), count)
+    assert all(type(i) is int for i in drawn[:5])
+
+
+def test_sampler_hands_no_leftover_draws_to_another_generator():
+    l = np.array([1.0, 3.0, 0.5, 2.0, 5.0])
+    sampler = lipschitz_power_sampler(l, 1.0)
+    for seed in (4, 5, 4):  # the second run with seed 4 starts afresh too
+        gen = seeded_generator(seed, STREAM_SOLVER)
+        drawn = [sampler(k, gen, None) for k in range(50)]
+        assert drawn == _scalar_draws(l, 1.0, seeded_generator(seed, STREAM_SOLVER), 50)
+
+
 # ---------------------------------------------------------------------------
 # Hand-checked single steps
 # ---------------------------------------------------------------------------
