@@ -23,14 +23,12 @@ from .core import (
 )
 from .solvers import (
     METHOD_IDS,
-    IterationRecord,
     RunResult,
     RunStatus,
     SolutionFound,
     SolverConfig,
     StepObservation,
     StepsizeFailure,
-    TraceLevel,
     beta_component,
     beta_full,
     lipschitz_power_sampler,
@@ -52,14 +50,12 @@ __all__ = [
     "seeded_generator",
     "weighted_norm",
     "METHOD_IDS",
-    "IterationRecord",
     "RunResult",
     "RunStatus",
     "SolutionFound",
     "SolverConfig",
     "StepObservation",
     "StepsizeFailure",
-    "TraceLevel",
     "beta_component",
     "beta_full",
     "lipschitz_power_sampler",

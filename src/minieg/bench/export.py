@@ -87,7 +87,6 @@ def result_to_jsonable(result: ExperimentResult) -> dict:
                 "tolerance": cfg.tolerance,
                 "max_iterations": cfg.max_iterations,
                 "seed": cfg.seed,
-                "trace": cfg.trace.value,
             },
             "trials": spec.trials,
             "x0_policy": spec.x0_policy,

@@ -57,9 +57,7 @@ __all__ = [
     "SolutionFound",
     "StepsizeFailure",
     "RunStatus",
-    "TraceLevel",
     "SolverConfig",
-    "IterationRecord",
     "StepObservation",
     "RunResult",
     "beta_full",
@@ -70,7 +68,7 @@ __all__ = [
     "run_solver",
 ]
 
-IndexSampler = Callable[[int, np.random.Generator, EvaluationSession], int]
+IndexSampler = Callable[[np.random.Generator, EvaluationSession], int]
 
 
 class SolutionFound(Exception):
@@ -124,12 +122,6 @@ class RunStatus(str, Enum):
     NON_FINITE_RESIDUAL = "non_finite_residual"
 
 
-class TraceLevel(str, Enum):
-    NONE = "none"
-    SUMMARY = "summary"  # every 100th iteration plus the final one
-    FULL = "full"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared solver knobs.
@@ -144,51 +136,33 @@ class SolverConfig:
     tolerance: float = 1e-8
     max_iterations: int = 500_000
     seed: int = 0
-    trace: TraceLevel = TraceLevel.NONE
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must lie strictly in (0, 1), got {self.rho}")
-        if self.gamma < 0:
-            raise ConfigurationError(f"gamma must be nonnegative, got {self.gamma}")
-        if self.tolerance <= 0:
-            raise ConfigurationError(f"tolerance must be positive, got {self.tolerance}")
-        if self.max_iterations < 1:
+        if not 0 <= self.gamma < math.inf:  # also rejects NaN
+            raise ConfigurationError(f"gamma must be finite and nonnegative, got {self.gamma}")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigurationError(f"tolerance must be finite and positive, got {self.tolerance}")
+        # Numpy integers are integers too; floats are rejected even when integral.
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
             raise ConfigurationError(
-                f"max_iterations must be at least 1, got {self.max_iterations}"
+                f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}"
             )
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigurationError(f"seed must be in [0, 2**64), got {self.seed}")
-        if not isinstance(self.trace, TraceLevel):
-            object.__setattr__(self, "trace", TraceLevel(self.trace))
-
-
-@dataclass
-class IterationRecord:
-    """One completed iteration, as stored in a run trace.
-
-    ``beta`` is 0.0 on iterations that converge at the probe point (the
-    projection step is never formed there). ``selected_index`` is None for
-    the full-vector method; ``reset`` flags watchdog iterations whose
-    challenger strictly beat the reference.
-    """
-
-    k: int
-    selected_index: int | None
-    residual_y: float
-    beta: float
-    nf_so_far: float
-    reset: bool | None = None
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        for name in ("max_iterations", "seed"):  # plain ints, so results export as JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass
 class StepObservation:
     """Full per-iteration state handed to callbacks (arrays are copies).
 
-    ``f_x`` is only populated by methods that actually compute the full map
-    at ``x_k`` (eg, gmini); the coordinate methods never see it, and
-    observers that need it can evaluate the problem directly. ``x_next`` is
-    None on the converging iteration.
+    ``f_x`` is only populated by methods that compute the full map at ``x_k``
+    (eg, gmini); observers that need it elsewhere can evaluate the problem.
+    ``x_next`` is None, and ``beta`` 0.0, on the converging iteration;
+    ``nf_so_far`` is the ledger's NF after the iteration's charges.
     """
 
     k: int
@@ -202,6 +176,7 @@ class StepObservation:
     beta: float
     residual_y: float
     converged: bool
+    nf_so_far: float
     challenger_index: int | None = None
     challenger_value: float | None = None
     reference_value: float | None = None
@@ -228,7 +203,6 @@ class RunResult:
     iterations: int
     nf: float
     wall_time_seconds: float
-    trace: list[IterationRecord]
     ledger: CostLedger
     config: SolverConfig
     failure: StepsizeFailure | None = None
@@ -317,7 +291,7 @@ def lipschitz_power_sampler(
     owner: np.random.Generator | None = None  # the generator of the pending block
     pending = iter(())
 
-    def sampler(k: int, gen: np.random.Generator, session: EvaluationSession) -> int:
+    def sampler(gen: np.random.Generator, session: EvaluationSession) -> int:
         nonlocal owner, pending
         if gen is owner:
             i = next(pending, None)
@@ -350,7 +324,7 @@ class _Run:
 _NO_WATCH = (None, None, None, None)  # (challenger, F_c, F_ref, reset) outside wmax
 
 
-def _probe_eg(run: _Run, k: int):
+def _probe_eg(run: _Run):
     """Full probe ``y = x - (rho/L) F(x)``: one full evaluation."""
     session = run.session
     f_x = session.eval_full()
@@ -358,7 +332,7 @@ def _probe_eg(run: _Run, k: int):
     return None, None, f_x, _NO_WATCH
 
 
-def _probe_gmini(run: _Run, k: int):
+def _probe_gmini(run: _Run):
     """The largest ``|F_i(x)|`` of one full evaluation; ties go to the smallest index."""
     f_x = run.session.eval_full()
     magnitudes = np.abs(f_x)
@@ -368,9 +342,9 @@ def _probe_gmini(run: _Run, k: int):
     return i, float(f_x[i]), f_x, _NO_WATCH
 
 
-def _probe_rmini(run: _Run, k: int):
+def _probe_rmini(run: _Run):
     """One drawn coordinate: a single coordinate read."""
-    i = int(run.sampler(k, run.gen, run.session))
+    i = int(run.sampler(run.gen, run.session))
     return i, run.session.eval_component(i), None, _NO_WATCH
 
 
@@ -383,7 +357,7 @@ def _start_wmax(run: _Run) -> bool:
     return False
 
 
-def _probe_wmax(run: _Run, k: int):
+def _probe_wmax(run: _Run):
     """Randomized probing guarded by a remembered reference coordinate.
 
     Each iteration charges exactly two coordinate reads (reference and
@@ -393,7 +367,7 @@ def _probe_wmax(run: _Run, k: int):
     the two, so its magnitude dominates the challenger's by construction.
     """
     session = run.session
-    challenger = int(run.sampler(k, run.gen, session))
+    challenger = int(run.sampler(run.gen, session))
     f_ref = session.eval_component(run.reference)
     f_ch = session.eval_component(challenger)  # charged even when it is the reference
     reset = bool(abs(f_ch) > abs(f_ref))  # ties keep the reference
@@ -445,8 +419,8 @@ def run_solver(
     ``x0`` defaults to the origin and is projected onto the feasible region
     before the run starts (a non-finite projected start raises
     :class:`~minieg.core.ConfigurationError`); ``projection`` defaults to the
-    problem's feasible region. ``callback`` receives a
-    :class:`StepObservation` after every iteration (this forces
+    problem's feasible region. ``callback``, the one per-iteration output,
+    receives a :class:`StepObservation` after every iteration (this forces
     per-iteration array copies; leave it None for timed runs) --
     :func:`minieg.bench.rank_trace` builds its rank diagnostics on it.
     ``index_sampler`` overrides the coordinate draw of the randomized
@@ -482,8 +456,6 @@ def run_solver(
     session = problem.open_session(x0, ledger)
     run = _Run(session, seeded_generator(cfg.seed, STREAM_SOLVER), index_sampler, scale)
 
-    trace: list[IterationRecord] = []
-    record_every = {TraceLevel.FULL: 1, TraceLevel.SUMMARY: 100}.get(cfg.trace)
     rho, tolerance, last_k = cfg.rho, cfg.tolerance, cfg.max_iterations - 1
 
     status, iterations = RunStatus.ITERATION_CAP, cfg.max_iterations
@@ -496,7 +468,7 @@ def run_solver(
 
     for k in range(iterations):
         x = session.point.copy()
-        i, f_x_i, f_x, (challenger, f_ch, f_ref, reset) = probe(run, k)
+        i, f_x_i, f_x, (challenger, f_ch, f_ref, reset) = probe(run)
         if i is not None:
             delta = -(rho / l[i]) * f_x_i
             if delta != 0.0:
@@ -527,14 +499,12 @@ def run_solver(
             x_next = proj(x - beta * f_y)
             session.set_point(x_next)
 
-        if record_every and (k % record_every == 0 or converged or k == last_k):
-            trace.append(IterationRecord(k, i, residual, beta, ledger.nf, reset))
         if callback is not None:
             callback(StepObservation(
                 k=k, x=x, y=y,
                 x_next=None if converged else np.array(x_next, dtype=float, copy=True),
                 f_y=f_y, f_x=f_x, selected_index=i, selected_value=f_x_i,
-                beta=beta, residual_y=residual, converged=converged,
+                beta=beta, residual_y=residual, converged=converged, nf_so_far=ledger.nf,
                 challenger_index=challenger, challenger_value=f_ch,
                 reference_value=f_ref, reset=reset,
             ))
@@ -554,5 +524,5 @@ def run_solver(
     return RunResult(
         method=method, status=status, final_point=final_point,
         final_residual=final_residual, iterations=iterations, nf=ledger.nf,
-        wall_time_seconds=wall, trace=trace, ledger=ledger, config=cfg, failure=failure,
+        wall_time_seconds=wall, ledger=ledger, config=cfg, failure=failure,
     )

@@ -143,6 +143,17 @@ def test_json_export_validates_against_the_shipped_schema(cs_result, tmp_path):
     assert payload["experiment"]["config"]["rho"] == pytest.approx(0.999)
 
 
+def test_exported_config_has_no_trace_and_old_documents_still_validate(cs_result):
+    payload = json.loads(json.dumps(result_to_jsonable(cs_result)))
+    config = payload["experiment"]["config"]
+    assert "trace" not in config
+    assert set(config) == {"rho", "gamma", "tolerance", "max_iterations", "seed"}
+    schema = load_results_schema()
+    jsonschema.validate(payload, schema)
+    config["trace"] = "none"  # as written before the trace level was retired
+    jsonschema.validate(payload, schema)
+
+
 class _SignFlipSession(EvaluationSession):
     def _rebuild(self):
         self._f = self._problem.eval_full(self._x)

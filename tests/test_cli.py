@@ -142,6 +142,13 @@ def test_unknown_method_exits_with_an_error(capsys):
     assert "newton" in captured.err
 
 
+def test_non_finite_tolerance_exits_with_an_error(capsys):
+    code = main(["bench", "--affine", "4", "--tol", "nan", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "tolerance" in captured.err
+
+
 def test_unknown_affine_flavor_exits_with_an_error(capsys):
     code = main(["bench", "--affine", "4,hankel", "--trials", "1"])
     captured = capsys.readouterr()

@@ -1,10 +1,12 @@
 """Golden traces: every method on every backend reproduces a fixed digest.
 
-Each digest is a SHA-256 over everything a run exposes -- every trace record,
-every field of every :class:`StepObservation` handed to the callback, the
-charged ledger counts, the status and the bytes of the final point. Floats
-are hashed exactly (``float.hex`` and raw array bytes), so a digest changes
-whenever any iterate, step size or evaluation count changes by a single ulp.
+Each digest is a SHA-256 over everything a run exposes -- every field of
+every :class:`StepObservation` handed to the callback, then a per-iteration
+record of ``RECORD_FIELDS`` (including ``nf_so_far``) read back from those
+observations, the charged ledger counts, the status and the bytes of the
+final point. Floats are hashed exactly (``float.hex`` and raw array bytes),
+so a digest changes whenever any iterate, step size or evaluation count
+changes by a single ulp.
 The digests were captured from the per-method stepper implementation that
 preceded the shared probe-then-project loop; they pin that the loop replays
 it bit for bit. The ``logreg`` case hands its features over as CSR, the
@@ -83,17 +85,19 @@ def _feed(digest, value) -> None:
 
 
 def run_digest(problem, method, x0) -> str:
-    config = SolverConfig(seed=5, max_iterations=3000, tolerance=1e-6, trace="full")
+    config = SolverConfig(seed=5, max_iterations=3000, tolerance=1e-6)
     digest = hashlib.sha256()
+    observations = []
 
     def callback(obs):
+        observations.append(obs)
         for name in OBSERVATION_FIELDS:
             _feed(digest, getattr(obs, name))
 
     result = run_solver(problem, method, config, x0=x0, callback=callback)
-    for record in result.trace:
+    for obs in observations:  # per-iteration records follow the observations, as when captured
         for name in RECORD_FIELDS:
-            _feed(digest, getattr(record, name))
+            _feed(digest, getattr(obs, name))
     for value in (
         result.ledger.full_evals,
         result.ledger.component_evals,

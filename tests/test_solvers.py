@@ -20,7 +20,6 @@ from minieg import (
     SolutionFound,
     SolverConfig,
     StepsizeFailure,
-    TraceLevel,
     beta_component,
     beta_full,
     lipschitz_power_sampler,
@@ -127,7 +126,7 @@ def _empirical_frequencies(l, gamma, draws, seed):
     l = np.asarray(l, dtype=float)
     sampler = lipschitz_power_sampler(l, gamma)
     gen = seeded_generator(seed, STREAM_SOLVER)
-    sequential = np.array([sampler(k, gen, None) for k in range(1000)])
+    sequential = np.array([sampler(gen, None) for _ in range(1000)])
 
     weights = l**gamma
     cumulative = np.cumsum(weights / weights.sum())
@@ -181,7 +180,7 @@ def test_sampler_block_draws_equal_scalar_draws_across_block_boundaries():
     sampler = lipschitz_power_sampler(l, 1.5)
     gen = seeded_generator(21, STREAM_SOLVER)
     count = 3 * 1024 + 517  # past three block boundaries
-    drawn = [sampler(k, gen, None) for k in range(count)]
+    drawn = [sampler(gen, None) for _ in range(count)]
     assert drawn == _scalar_draws(l, 1.5, seeded_generator(21, STREAM_SOLVER), count)
     assert all(type(i) is int for i in drawn[:5])
 
@@ -191,7 +190,7 @@ def test_sampler_hands_no_leftover_draws_to_another_generator():
     sampler = lipschitz_power_sampler(l, 1.0)
     for seed in (4, 5, 4):  # the second run with seed 4 starts afresh too
         gen = seeded_generator(seed, STREAM_SOLVER)
-        drawn = [sampler(k, gen, None) for k in range(50)]
+        drawn = [sampler(gen, None) for _ in range(50)]
         assert drawn == _scalar_draws(l, 1.0, seeded_generator(seed, STREAM_SOLVER), 50)
 
 
@@ -262,7 +261,7 @@ def test_greedy_selection_and_tie_breaking(values, expected):
 
 
 def _greedy_oracle_sampler(problem):
-    def sampler(k, gen, session):
+    def sampler(gen, session):
         f = problem.eval_full(session.point)
         return int(np.argmax(np.abs(f)))
 
@@ -294,23 +293,21 @@ def test_randomized_method_with_greedy_draws_replays_greedy(problem_factory):
 def test_watchdog_with_self_challenges_keeps_its_reference():
     problem = random_spd_affine(8, seed=9)
     reference = int(np.argmax(np.abs(problem.eval_full(np.zeros(8)))))
-    config = SolverConfig(
-        rho=0.9, max_iterations=60, tolerance=1e-300, trace=TraceLevel.FULL
+    config = SolverConfig(rho=0.9, max_iterations=60, tolerance=1e-300)
+    _, obs = _collect(
+        problem, "wmax", config, index_sampler=lambda gen, session: reference
     )
-    result = run_solver(
-        problem, "wmax", config, index_sampler=lambda k, gen, session: reference
-    )
-    assert len(result.trace) == 60
-    for record in result.trace:
-        assert record.selected_index == reference
-        assert record.reset is False
+    assert len(obs) == 60
+    for o in obs:
+        assert o.selected_index == reference
+        assert o.reset is False
 
 
 def test_watchdog_challenger_equal_to_reference_still_charges_two_reads():
     problem = random_spd_affine(4, seed=2)
     config = SolverConfig(max_iterations=25, tolerance=1e-300)
     result = run_solver(
-        problem, "wmax", config, index_sampler=lambda k, gen, session: 0
+        problem, "wmax", config, index_sampler=lambda gen, session: 0
     )
     assert result.ledger.component_evals == 2 * 25
 
@@ -533,16 +530,15 @@ class _TurnsNaN(MonotoneMapping):
 @pytest.mark.parametrize("method", METHOD_IDS)
 def test_a_non_finite_residual_ends_the_run(method):
     problem = _TurnsNaN()
-    config = SolverConfig(max_iterations=1000, trace="full")
-    seen = []
-    result = run_solver(problem, method, config, x0=np.array([1.0, 0.0]), callback=seen.append)
+    config = SolverConfig(max_iterations=1000)
+    result, seen = _collect(problem, method, config, x0=np.array([1.0, 0.0]))
     assert result.status is RunStatus.NON_FINITE_RESIDUAL
     assert not result.converged and result.failure is None
     # The run stops at the first probe that reads NaN: it completed every
     # earlier iteration and nothing after it.
     assert 0 < result.iterations < 10
-    assert len(result.trace) == len(seen) == result.iterations
-    assert all(math.isfinite(record.residual_y) for record in result.trace)
+    assert len(seen) == result.iterations
+    assert all(math.isfinite(o.residual_y) for o in seen)
     assert math.isnan(result.final_residual)
     assert result.final_point.shape == (2,)
 
@@ -552,39 +548,46 @@ def test_a_non_finite_residual_ends_the_run(method):
 # ---------------------------------------------------------------------------
 
 
-def test_trace_level_none_records_nothing():
+def test_the_converging_iteration_is_observed_with_a_zero_step():
     problem = random_spd_affine(6, seed=2)
-    result = run_solver(problem, "gmini", SolverConfig(max_iterations=50))
-    assert result.trace == []
-
-
-def test_trace_level_summary_records_every_hundredth_and_final():
-    problem = random_spd_affine(6, seed=2)
-    config = SolverConfig(
-        max_iterations=250, tolerance=1e-300, trace=TraceLevel.SUMMARY
-    )
-    result = run_solver(problem, "rmini", config)
-    assert [r.k for r in result.trace] == [0, 100, 200, 249]
-
-
-def test_trace_level_summary_includes_the_converging_iteration():
-    problem = random_spd_affine(6, seed=2)
-    result = run_solver(problem, "gmini", SolverConfig(trace="summary"))
+    result, obs = _collect(problem, "gmini", SolverConfig())
     assert result.converged
-    ks = [r.k for r in result.trace]
-    assert ks[-1] == result.iterations - 1
-    assert result.trace[-1].residual_y <= 1e-8
-    assert result.trace[-1].beta == 0.0
+    assert [o.k for o in obs] == list(range(result.iterations))
+    assert obs[-1].converged and obs[-1].x_next is None
+    assert obs[-1].residual_y <= 1e-8
+    assert obs[-1].beta == 0.0
 
 
-def test_trace_level_full_records_every_iteration():
+def test_every_iteration_is_observed():
     problem = random_spd_affine(6, seed=2)
-    config = SolverConfig(max_iterations=30, tolerance=1e-300, trace="full")
-    result = run_solver(problem, "wmax", config)
-    assert [r.k for r in result.trace] == list(range(30))
-    nf_values = [r.nf_so_far for r in result.trace]
+    config = SolverConfig(max_iterations=30, tolerance=1e-300)
+    _, obs = _collect(problem, "wmax", config)
+    assert [o.k for o in obs] == list(range(30))
+    nf_values = [o.nf_so_far for o in obs]
     assert nf_values == sorted(nf_values)
-    assert all(r.reset in (True, False) for r in result.trace)
+    assert all(o.reset in (True, False) for o in obs)
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_observed_nf_follows_the_ledger_identity(method):
+    """After ``k + 1`` iterations a method has made exactly the charged reads
+    its ledger identity counts, so ``nf_so_far`` is ``full + component / n``
+    for those counts; the last observation carries the run's NF."""
+    problem = random_spd_affine(8, seed=4)
+    n = problem.dim
+    config = SolverConfig(max_iterations=40, tolerance=1e-300)
+    result, obs = _collect(problem, method, config)
+    assert len(obs) == 40
+    for o in obs:
+        done = o.k + 1
+        full, component = {
+            "eg": (2 * done, 0),
+            "gmini": (2 * done, 0),
+            "rmini": (done, done),
+            "wmax": (1 + done, 2 * done),
+        }[method]
+        assert o.nf_so_far == full + component / n
+    assert obs[-1].nf_so_far == result.nf
 
 
 def _count_uncharged_evaluations(problem):
@@ -623,10 +626,10 @@ def test_greedy_diagnostics_rank_is_always_one():
 
 def test_rank_is_absent_without_diagnostics():
     problem = random_spd_affine(6, seed=2)
-    config = SolverConfig(max_iterations=10, tolerance=1e-300, trace="full")
+    config = SolverConfig(max_iterations=10, tolerance=1e-300)
     uncharged = _count_uncharged_evaluations(problem)
-    result = run_solver(problem, "rmini", config)
-    assert len(result.trace) == 10
+    result, obs = _collect(problem, "rmini", config)
+    assert len(obs) == 10
     assert uncharged == []
     assert result.ledger.nf_exact() == _nf_identity("rmini", 10, problem.dim)
 
@@ -639,12 +642,15 @@ def test_rank_is_absent_without_diagnostics():
 @pytest.mark.parametrize("method", ["rmini", "wmax"])
 def test_same_seed_reproduces_the_trace_bitwise(method):
     problem = build_cs_instance(24, 8, 3, seed=1)
-    config = SolverConfig(
-        seed=42, max_iterations=120, tolerance=1e-300, trace="full"
-    )
-    a = run_solver(problem, method, config)
-    b = run_solver(problem, method, config)
-    assert a.trace == b.trace
+    config = SolverConfig(seed=42, max_iterations=120, tolerance=1e-300)
+    a, a_obs = _collect(problem, method, config)
+    b, b_obs = _collect(problem, method, config)
+    assert len(a_obs) == len(b_obs) == 120
+    for u, v in zip(a_obs, b_obs):
+        assert (u.selected_index, u.residual_y, u.beta, u.nf_so_far, u.reset) == (
+            v.selected_index, v.residual_y, v.beta, v.nf_so_far, v.reset
+        )
+        np.testing.assert_array_equal(u.x_next, v.x_next)
     np.testing.assert_array_equal(a.final_point, b.final_point)
     assert a.ledger == b.ledger
 
@@ -653,10 +659,8 @@ def test_different_seeds_draw_different_coordinates():
     problem = build_cs_instance(24, 8, 3, seed=1)
     picks = {}
     for seed in (0, 1):
-        config = SolverConfig(
-            seed=seed, max_iterations=60, tolerance=1e-300, trace="full"
-        )
-        picks[seed] = [r.selected_index for r in run_solver(problem, "rmini", config).trace]
+        config = SolverConfig(seed=seed, max_iterations=60, tolerance=1e-300)
+        picks[seed] = [o.selected_index for o in _collect(problem, "rmini", config)[1]]
     assert picks[0] != picks[1]
 
 
@@ -670,12 +674,15 @@ def test_start_point_is_projected_into_the_feasible_region():
 def test_config_validation():
     for bad in (dict(rho=0.0), dict(rho=1.0), dict(rho=-0.1), dict(gamma=-1.0),
                 dict(tolerance=0.0), dict(max_iterations=0), dict(seed=-1),
-                dict(seed=2**64)):
+                dict(seed=2**64), dict(tolerance=math.nan), dict(tolerance=math.inf),
+                dict(gamma=math.nan), dict(gamma=math.inf), dict(max_iterations=1e3),
+                dict(max_iterations=10.0), dict(seed=1.5), dict(seed=np.float64(2.0)),
+                dict(seed="3")):
         with pytest.raises(ConfigurationError):
             SolverConfig(**bad)
-    with pytest.raises(ValueError):
-        SolverConfig(trace="loud")
-    assert SolverConfig(trace="summary").trace is TraceLevel.SUMMARY
+    config = SolverConfig(max_iterations=np.int64(7), seed=np.uint32(3))
+    assert (config.max_iterations, config.seed) == (7, 3)
+    assert type(config.max_iterations) is int and type(config.seed) is int
 
 
 def test_method_registry():
