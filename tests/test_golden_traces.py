@@ -13,6 +13,13 @@ it bit for bit. The ``logreg`` case hands its features over as CSR, the
 layout every logistic-regression problem had then; ``logreg-dense`` passes
 the same design as an ndarray, which is kept dense and summed by BLAS in a
 different order, so its digests were captured from the dense layout itself.
+
+``RESULT_GOLDEN`` pins the same runs made without a callback, which are
+the runs R-Mini-EG may fast-forward through its null steps: a digest over
+the ledger counts, status, iterations, residual and final-point bytes.
+They were captured from the per-step loop, before the fast-forward existed.
+The extra ``cs-desk-cap`` case stops R-Mini-EG on the desk instance at a
+cap that falls inside a run of null steps.
 """
 
 import hashlib
@@ -68,6 +75,37 @@ GOLDEN = {
 }
 
 
+# A run of null steps covers iterations 1308-1322 of this run; the cap ends it at 1315.
+DESK_CAP_CASE = (
+    lambda: build_cs_instance(256, 64, 8, seed=0),
+    SolverConfig(seed=0, max_iterations=1316, tolerance=1e-8),
+)
+
+RESULT_GOLDEN = {
+    ("eg", "cs"): "9c4ec797c9ee3c26c156d610a30cf163efae2e0847c6fa4de9f20bc6bd57a619",
+    ("eg", "logreg"): "2d6662f9d830e1a4063e1d7f5067c62122f334d256ca0fb33f2876f0c0ee3e23",
+    ("eg", "logreg-dense"): "b7227c3034b6558b33528d4b934ae71b13025f632b988028f8bc9d3ab7e96003",
+    ("eg", "affine"): "11ff0ea1da36b2d6aa908ce0ebe93d321d06aa11949b02e4650c6dca642b2a4f",
+    ("eg", "skew"): "8dd1e69281b9c4e29189f53f84bb297cc1f6d08fd0cf4c796d0186056f41c953",
+    ("gmini", "cs"): "c45dfc3dc525d0c614504e6159a823feb9e9e4abe1c00973835586f1f124c4e8",
+    ("gmini", "logreg"): "5bcfaf0377b166ae676c9a34a99b18eaf867cd82b079b588ff1bf680c01746e8",
+    ("gmini", "logreg-dense"): "447e92e1da5f526ecfa5dcb2530d5487dfa4842dfdc9ca3c1f1f15def426d3c6",
+    ("gmini", "affine"): "8f7a4c24cc8242c652d70674a9d30f6862aba00a00c1042c593d82433c71c5d6",
+    ("gmini", "skew"): "a89265fe0778dcedd2fe61085ecfa5892ef1223675aea3fcd970d1297d9e52b0",
+    ("rmini", "cs"): "5652d19c2fae48b135432ef96334fcf73220357382b414b97d6bfcfada064fde",
+    ("rmini", "logreg"): "7e1f0ca2b6d8a209e9477c7863531271339e1b025b2b492bac7432123b2074b8",
+    ("rmini", "logreg-dense"): "3aa32e9b19b654bb922c2378bab2d8617960e287abd906792034bd69bcacd17a",
+    ("rmini", "affine"): "1ce886bfc2af746825f920fdeb6c6cf17c49259a45717b4ddd6fd2bef96730d7",
+    ("rmini", "skew"): "51847413728615698120363fde6e26d85a147b406bc1afcc8d5314d0696707c8",
+    ("wmax", "cs"): "67ebde106ecb304c9578e30e0a6e6baff02fd51581f75e868089aacb0952b998",
+    ("wmax", "logreg"): "6083fc4ae8f63e1652e157bb516457a8c8bc2ac4c9f9444ca17b908e7321d584",
+    ("wmax", "logreg-dense"): "c5cba348bf9260341a7d6065fd0daba22fe879ec3b4c3c333b687ffd7d72310d",
+    ("wmax", "affine"): "577ffadfd419c3dd87ece53c6c0c649f0a0a871bfa4a1300a8b71a2f6cb2ac4d",
+    ("wmax", "skew"): "4fedaa50016ea983228937d70451ff493b28a9f9f9e990969d8d2d356a7baa34",
+    ("rmini", "cs-desk-cap"): "1622fa6d2f50788cc42c62c5ab0712c70eabc7ee910f6523016b83404a452220",
+}
+
+
 def _feed(digest, value) -> None:
     if value is None:
         digest.update(b"N;")
@@ -84,20 +122,10 @@ def _feed(digest, value) -> None:
         digest.update(f"S{value};".encode())
 
 
-def run_digest(problem, method, x0) -> str:
-    config = SolverConfig(seed=5, max_iterations=3000, tolerance=1e-6)
-    digest = hashlib.sha256()
-    observations = []
+CONFIG = SolverConfig(seed=5, max_iterations=3000, tolerance=1e-6)
 
-    def callback(obs):
-        observations.append(obs)
-        for name in OBSERVATION_FIELDS:
-            _feed(digest, getattr(obs, name))
 
-    result = run_solver(problem, method, config, x0=x0, callback=callback)
-    for obs in observations:  # per-iteration records follow the observations, as when captured
-        for name in RECORD_FIELDS:
-            _feed(digest, getattr(obs, name))
+def _feed_result(digest, result) -> None:
     for value in (
         result.ledger.full_evals,
         result.ledger.component_evals,
@@ -107,6 +135,29 @@ def run_digest(problem, method, x0) -> str:
         result.final_point,
     ):
         _feed(digest, value)
+
+
+def run_digest(problem, method, x0) -> str:
+    digest = hashlib.sha256()
+    observations = []
+
+    def callback(obs):
+        observations.append(obs)
+        for name in OBSERVATION_FIELDS:
+            _feed(digest, getattr(obs, name))
+
+    result = run_solver(problem, method, CONFIG, x0=x0, callback=callback)
+    for obs in observations:  # per-iteration records follow the observations, as when captured
+        for name in RECORD_FIELDS:
+            _feed(digest, getattr(obs, name))
+    _feed_result(digest, result)
+    return digest.hexdigest()
+
+
+def result_digest(problem, method, x0=None, config=CONFIG) -> str:
+    """Digest of a run made without a callback: what a timed run returns."""
+    digest = hashlib.sha256()
+    _feed_result(digest, run_solver(problem, method, config, x0=x0))
     return digest.hexdigest()
 
 
@@ -115,3 +166,15 @@ def run_digest(problem, method, x0) -> str:
 def test_golden_trace(method, backend):
     build, x0 = CASES[backend]
     assert run_digest(build(), method, x0) == GOLDEN[method, backend]
+
+
+@pytest.mark.parametrize("backend", list(CASES))
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_golden_result_without_callback(method, backend):
+    build, x0 = CASES[backend]
+    assert result_digest(build(), method, x0) == RESULT_GOLDEN[method, backend]
+
+
+def test_golden_result_at_a_cap_inside_a_null_run():
+    build, config = DESK_CAP_CASE
+    assert result_digest(build(), "rmini", config=config) == RESULT_GOLDEN["rmini", "cs-desk-cap"]
