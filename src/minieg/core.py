@@ -235,12 +235,11 @@ class EvaluationSession(ABC):
     performs the incremental update that makes single-coordinate methods
     cheap. Subclasses implement the four ``_``-prefixed hooks.
 
-    Work is not redone on a state that has not moved: ``set_point`` to the
-    very bytes of the point the cache was last rebuilt at, with no shift
-    since, keeps the cache, and ``eval_full`` keeps the last ``F`` it
-    computed until the next shift or rebuild. Both are exact, since a
-    rebuild from the same bytes reproduces the same cache bit for bit, and
-    neither changes what the ledger is charged.
+    ``eval_full`` keeps the last ``F`` it computed until the next shift or
+    rebuild, so a repeated read at a point that has not moved costs a copy;
+    it is charged all the same. ``set_point`` always rebuilds: a caller
+    that knows the point has not moved (the solver loop after a zero step)
+    skips the call.
     """
 
     def __init__(self, problem: MonotoneMapping, x0: np.ndarray, ledger: CostLedger) -> None:
@@ -251,9 +250,7 @@ class EvaluationSession(ABC):
         self._problem = problem
         self._ledger = ledger
         self._x = problem._check_point(x0).copy()
-        self._x_bits = memoryview(self._x.view(np.uint64))  # _x's raw bytes, for equality tests
         self._rebuild()
-        self._rebuilt = True  # the cache is a rebuild of _x and nothing has moved since
         self._full: np.ndarray | None = None  # F at _x once computed, until the next move
 
     # -- state ---------------------------------------------------------------
@@ -272,25 +269,15 @@ class EvaluationSession(ABC):
         return self._x
 
     def set_point(self, x: np.ndarray) -> None:
-        """Move to ``x`` and rebuild the backend cache. Not charged.
-
-        The rebuild is skipped when ``x`` has the same bytes as the point
-        the cache was rebuilt at and nothing has moved since.
-        """
+        """Move to ``x`` and rebuild the backend cache. Not charged."""
         x = self._problem._check_point(x)
-        # Compared as integers, so -0.0 and 0.0 differ and a NaN equals
-        # itself; the memoryview comparison copies nothing and stops at the
-        # first differing entry.
-        if self._rebuilt and self._x_bits == memoryview(x.view(np.uint64)):
-            return
-        self._rebuilt, self._full = False, None
+        self._full = None
         self._x[:] = x
         self._rebuild()
-        self._rebuilt = True
 
     def shift_coordinate(self, i: int, delta: float) -> None:
         """Add ``delta`` to coordinate ``i``, updating the cache incrementally."""
-        self._rebuilt, self._full = False, None
+        self._full = None
         self._x[i] += delta
         self._shift(i, float(delta))
 

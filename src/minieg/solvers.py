@@ -31,6 +31,16 @@ ledger identities::
 
 A run also ends at the iteration cap, when a step-size sign test fails, or
 when the probe residual is not finite (NaN or infinite).
+
+Most ``rmini`` iterations on sparse recovery are null steps: the drawn
+coordinate has ``F_i(x) = 0``, so ``y = x``, ``beta = 0`` and nothing moves.
+Once a null step has kept ``x``'s exact bytes (and ``x`` holds no -0.0,
+which a later zero step could turn into 0.0), the loop fast-forwards: it
+draws and reads coordinates until one reads nonzero, and charges each
+skipped iteration what the loop would, so results and ledgers stay bit for
+bit the same. It does so only when no callback is set and the library's
+own sampler draws, since skipped iterations are neither observed nor
+drawn through a custom sampler.
 """
 
 from __future__ import annotations
@@ -319,6 +329,7 @@ class _Run:
     sampler: IndexSampler | None
     scale: float | None  # eg's probe step rho / L
     reference: int | None = None  # wmax's remembered coordinate
+    ahead: tuple[int, float] | None = None  # rmini's next (i, F_i(x)), read by a fast-forward
 
 
 _NO_WATCH = (None, None, None, None)  # (challenger, F_c, F_ref, reset) outside wmax
@@ -343,9 +354,36 @@ def _probe_gmini(run: _Run):
 
 
 def _probe_rmini(run: _Run):
-    """One drawn coordinate: a single coordinate read."""
+    """One drawn coordinate: a single coordinate read, or the one a fast-forward made."""
+    if run.ahead is not None:
+        (i, f_x_i), run.ahead = run.ahead, None
+        return i, f_x_i, None, _NO_WATCH
     i = int(run.sampler(run.gen, run.session))
     return i, run.session.eval_component(i), None, _NO_WATCH
+
+
+def _skip_null_steps(run: _Run, most: int) -> int:
+    """Fast-forward rmini through up to ``most`` null steps; returns how many it skipped.
+
+    Runs only while the session sits, unmoved and rebuilt, at a point ``x``
+    that one null step has just kept bit for bit, so every draw with
+    ``F_i(x) = 0`` is another iteration that moves nothing. It draws and
+    reads as the probe would and stops at the first nonzero read, which it
+    leaves in ``run.ahead`` as the next iteration's probe. Each skipped
+    iteration is charged what the loop charges it: its coordinate read, and
+    the full read at ``y = x`` in one bulk charge.
+    """
+    session, sampler, gen = run.session, run.sampler, run.gen
+    skipped = 0
+    while skipped < most:
+        i = sampler(gen, session)
+        f_x_i = session.eval_component(i)
+        if f_x_i != 0.0:
+            run.ahead = (i, f_x_i)
+            break
+        skipped += 1
+    session.ledger.charge_full(skipped)
+    return skipped
 
 
 def _start_wmax(run: _Run) -> bool:
@@ -404,6 +442,17 @@ def method_display_name(method: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _same_bytes(a, b: np.ndarray) -> bool:
+    """Whether ``a`` holds exactly the float64 bytes of ``b``.
+
+    -0.0 and 0.0 differ, and a NaN equals itself. Comparing two ``tobytes``
+    copies runs as one ``memcmp``, several times faster than comparing
+    memoryviews item by item.
+    """
+    a = np.asarray(a, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def run_solver(
     problem: MonotoneMapping,
     method: str,
@@ -424,7 +473,11 @@ def run_solver(
     per-iteration array copies; leave it None for timed runs) --
     :func:`minieg.bench.rank_trace` builds its rank diagnostics on it.
     ``index_sampler`` overrides the coordinate draw of the randomized
-    methods -- chiefly a testing hook.
+    methods -- chiefly a testing hook. Either one keeps ``rmini`` on the
+    per-step path, which calls the sampler and the session once per
+    iteration; without them ``rmini`` fast-forwards through null steps (see
+    the module docstring) with the same result, bit for bit. The map, the
+    session and the projection are taken to be deterministic.
 
     Wall time covers the solve loop only; any spectral setup the method
     needs is performed (and cached on the problem) before the clock starts.
@@ -448,6 +501,9 @@ def run_solver(
         if L is None or L <= 0 or not np.isfinite(L):
             raise ConfigurationError(f"global Lipschitz bound must be positive, got {L}")
         scale = cfg.rho / L
+    # rmini fast-forwards through null runs only where nothing can observe
+    # the skipped iterations: no callback and the library's own sampler.
+    fast_forward = method == "rmini" and callback is None and index_sampler is None
     if index_sampler is None and method in ("rmini", "wmax"):
         index_sampler = lipschitz_power_sampler(l, cfg.gamma)
 
@@ -466,12 +522,15 @@ def run_solver(
         status, iterations = RunStatus.CONVERGED, 0
         final_point, final_residual = session.point.copy(), 0.0
 
-    for k in range(iterations):
+    k = 0
+    while k < iterations:
         x = session.point.copy()
         i, f_x_i, f_x, (challenger, f_ch, f_ref, reset) = probe(run)
-        if i is not None:
+        moved = i is None  # eg's probe moves the session to y itself
+        if not moved:
             delta = -(rho / l[i]) * f_x_i
-            if delta != 0.0:
+            moved = delta != 0.0
+            if moved:
                 session.shift_coordinate(i, delta)
         f_y = session.eval_full()
         norm_sq = float(np.dot(f_y, f_y))
@@ -497,7 +556,14 @@ def run_solver(
                 final_point = x.copy()
                 break
             x_next = proj(x - beta * f_y)
-            session.set_point(x_next)
+            # An unmoved session still holds the rebuild of x's bytes, so a
+            # zero step that keeps them needs no rebuild.
+            if moved or beta != 0.0 or not _same_bytes(x_next, x):
+                session.set_point(x_next)
+            elif fast_forward and _same_bytes(x + 0.0, x):
+                # x + 0.0 turns -0.0 into 0.0 and keeps every other byte. Without
+                # -0.0 in x, every later zero step computes x's bytes too.
+                k += _skip_null_steps(run, last_k - k - 1)
 
         if callback is not None:
             callback(StepObservation(
@@ -511,6 +577,7 @@ def run_solver(
         if converged:
             status, iterations = RunStatus.CONVERGED, k + 1
             break
+        k += 1
 
     wall = time.perf_counter() - t0
 

@@ -11,9 +11,10 @@ import pytest
 import scipy.sparse as sp
 from property_checks import sparse_twin
 
-from minieg import CostLedger, seeded_generator
+from minieg import CostLedger, Projection, SolverConfig, run_solver, seeded_generator
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
 from minieg.problems import (
+    AffineMonotoneProblem,
     LogRegProblem,
     build_cs_instance,
     random_spd_affine,
@@ -171,26 +172,84 @@ def test_repeated_full_reads_are_fresh_copies_and_charged(name):
     assert (ledger.full_evals, ledger.component_evals) == (3, 0)
 
 
-@pytest.mark.parametrize("name", sorted(BACKENDS))
-def test_set_point_to_the_rebuilt_bytes_skips_the_rebuild(name):
-    problem = BACKENDS[name]()
-    gen = seeded_generator(7, STREAM_SOLVER)
-    x = np.abs(gen.standard_normal(problem.dim))
-    x[0] = 0.0
-    session = problem.open_session(np.zeros(problem.dim), CostLedger(problem.dim))
-    calls = _count_rebuilds(session)
-    session.set_point(x)
-    assert len(calls) == 1
-    f = session.eval_full()
-    session.set_point(x.copy())
-    assert len(calls) == 1
-    np.testing.assert_array_equal(session.eval_full(), f)
+def _zero_feature_logreg(sparse):
+    """A design whose feature 0 is all zeros, so ``F_0`` reads exactly 0 at the origin."""
+    X, labels = _random_design(11)
+    X[:, 0] = 0.0
+    return LogRegProblem(sp.csr_matrix(X) if sparse else X, labels, reg=0.1)
 
-    negative_zero = x.copy()
-    negative_zero[0] = -0.0  # equal as a number, not as bytes
-    session.set_point(negative_zero)
-    assert len(calls) == 2
-    assert np.signbit(session.point[0])
+
+# Each problem's map reads exactly zero along some coordinate at the origin.
+NULL_AT_ORIGIN = {
+    "affine": lambda: AffineMonotoneProblem(
+        random_spd_affine(24, seed=11).matrix, rhs=np.r_[0.0, np.ones(23)]
+    ),
+    "cs": BACKENDS["cs"],
+    "logreg-sparse": lambda: _zero_feature_logreg(sparse=True),
+    "logreg-dense": lambda: _zero_feature_logreg(sparse=False),
+}
+
+
+class _ZeroSignFlip(Projection):
+    """The identity, except that coordinate ``c`` becomes 0.0 and -0.0 on alternate calls."""
+
+    def __init__(self, c):
+        self.c, self.calls = c, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        x = np.array(x, dtype=float)
+        x[self.c] = 0.0 if self.calls % 2 else -0.0
+        return x
+
+
+def _null_steps(problem, iterations, projection=None):
+    """``rmini`` from the origin, drawing a coordinate whose map reads 0 there.
+
+    Returns the observations, the rebuilds counted after each iteration
+    (the opening one excluded), and the drawn coordinate.
+    """
+    null = int(np.flatnonzero(problem.eval_full(np.zeros(problem.dim)) == 0.0)[0])
+    rebuilds = []
+    open_session = problem.open_session
+
+    def open_counted(x0, ledger):
+        session = open_session(x0, ledger)
+        rebuilds.append(_count_rebuilds(session))
+        return session
+
+    problem.open_session = open_counted
+    observations, counts = [], []
+
+    def observe(obs):
+        observations.append(obs)
+        counts.append(len(rebuilds[0]))
+
+    run_solver(
+        problem, "rmini", SolverConfig(max_iterations=iterations), projection=projection,
+        index_sampler=lambda gen, session: null, callback=observe,
+    )
+    return observations, counts, null
+
+
+@pytest.mark.parametrize("name", sorted(NULL_AT_ORIGIN))
+def test_a_step_that_keeps_the_point_skips_the_rebuild(name):
+    observations, counts, _ = _null_steps(NULL_AT_ORIGIN[name](), 4)
+    assert counts == [0, 0, 0, 0]
+    first = observations[0]
+    assert first.selected_value == 0.0 and first.beta == 0.0
+    for obs in observations:
+        assert obs.x_next.tobytes() == first.x.tobytes()
+        np.testing.assert_array_equal(obs.f_y, first.f_y)  # the kept F
+
+    # -0.0 equals 0.0 as a number, not as bytes: each step onto it rebuilds.
+    problem = NULL_AT_ORIGIN[name]()
+    flip = (_null_steps(problem, 1)[2] + 1) % problem.dim
+    observations, counts, _ = _null_steps(NULL_AT_ORIGIN[name](), 4, _ZeroSignFlip(flip))
+    assert counts == [1, 2, 3, 4]
+    for obs in observations:
+        np.testing.assert_array_equal(obs.x_next, obs.x)
+        assert np.signbit(obs.x_next[flip]) == (obs.k % 2 == 0)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

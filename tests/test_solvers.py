@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from minieg import (
+    BoxProjection,
     ConfigurationError,
     CostLedger,
     EvaluationSession,
+    IdentityProjection,
     METHOD_IDS,
     MonotoneMapping,
     RunStatus,
@@ -33,6 +35,7 @@ from minieg.problems import (
     AffineMonotoneProblem,
     build_cs_instance,
     random_spd_affine,
+    synthetic_logreg,
 )
 
 
@@ -632,6 +635,129 @@ def test_rank_is_absent_without_diagnostics():
     assert len(obs) == 10
     assert uncharged == []
     assert result.ledger.nf_exact() == _nf_identity("rmini", 10, problem.dim)
+
+
+# ---------------------------------------------------------------------------
+# R-Mini-EG fast-forward through null steps
+# ---------------------------------------------------------------------------
+
+
+def _outcome(result):
+    """Everything a run returns, floats and points as exact bytes."""
+    return (
+        result.status, result.iterations, result.ledger.full_evals,
+        result.ledger.component_evals, result.final_residual.hex(),
+        result.final_point.tobytes(),
+    )
+
+
+def _count_session_reads(problem):
+    """Count the charged reads of every session the problem opens from now on."""
+    calls = {"eval_full": 0, "eval_component": 0}
+    open_session = problem.open_session
+
+    def open_counted(x0, ledger):
+        session = open_session(x0, ledger)
+        for name in calls:
+            read = getattr(session, name)
+
+            def counted(*args, _name=name, _read=read):
+                calls[_name] += 1
+                return _read(*args)
+
+            setattr(session, name, counted)
+        return session
+
+    problem.open_session = open_counted
+    return calls
+
+
+FAST_FORWARD_CASES = {
+    "cs": (lambda: build_cs_instance(32, 12, 4, seed=11), SolverConfig(seed=1)),
+    "logreg-dense": (lambda: synthetic_logreg(20, 40, seed=11), SolverConfig(seed=1, tolerance=1e-6)),
+    # Iterations 388-397 are null steps; the cap ends the run at 394.
+    "cs-cap": (lambda: build_cs_instance(32, 12, 4, seed=11), SolverConfig(seed=1, max_iterations=395)),
+}
+
+
+@pytest.mark.parametrize("case", list(FAST_FORWARD_CASES))
+def test_fast_forward_matches_the_per_step_path(case):
+    build, config = FAST_FORWARD_CASES[case]
+    problem = build()
+    reads = _count_session_reads(problem)
+    fast = run_solver(problem, "rmini", config)
+    stepped = run_solver(build(), "rmini", config, callback=lambda obs: None)
+    assert _outcome(fast) == _outcome(stepped)
+    if case.startswith("cs"):  # null steps were skipped, and charged all the same
+        assert reads["eval_full"] < fast.ledger.full_evals
+    else:  # no null steps: every iteration went through the loop
+        assert reads["eval_full"] == fast.ledger.full_evals
+
+
+class _SignedZeroDiagonal(MonotoneMapping):
+    """``F(x) = (1, x_1, x_2)``, whose component reads give -0.0 where ``F_2`` is 0.0.
+
+    Both reads are exact; they differ only in the sign of a zero, as reads
+    summed in different orders may. A null step on coordinate 2 then takes
+    ``beta = -0.0``, which turns a -0.0 at coordinate 0 into 0.0, while one
+    on coordinate 1 keeps every byte. Coordinate 0 has so small a constant
+    that ``gamma = 1`` never draws it.
+    """
+
+    @property
+    def dim(self):
+        return 3
+
+    @property
+    def componentwise_lipschitz(self):
+        return np.array([1e-12, 1.0, 1.0])
+
+    def ensure_global_lipschitz(self):
+        return 1.0
+
+    def eval_full(self, x):
+        x = self._check_point(x)
+        return np.array([1.0, x[1], x[2]])
+
+    def open_session(self, x0, ledger):
+        return _SignedZeroSession(self, x0, ledger)
+
+
+class _SignedZeroSession(_GenericSession):
+    def _compute_component(self, i):
+        value = float(self._f[i])
+        return -(0.0 - value) if i == 2 else value  # -(0.0 - 0.0) is -0.0
+
+
+@pytest.mark.parametrize(
+    "projection", [IdentityProjection(), BoxProjection(-1.0, 1.0)], ids=["identity", "box"]
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_forward_keeps_negative_zeros_exact(projection, seed):
+    problem = _SignedZeroDiagonal()
+    config = SolverConfig(seed=seed, gamma=1.0, max_iterations=40)
+    x0 = np.array([-0.0, 0.0, 0.0])
+    fast = run_solver(problem, "rmini", config, x0=x0, projection=projection)
+    stepped, obs = _collect(problem, "rmini", config, x0=x0, projection=projection)
+    assert _outcome(fast) == _outcome(stepped)
+    assert all(o.selected_index != 0 and o.selected_value == 0.0 for o in obs)
+    # The -0.0 turns into 0.0 at the first draw of coordinate 2.
+    first = next(o.k for o in obs if o.selected_index == 2)
+    assert all(np.signbit(o.x_next[0]) == (o.k < first) for o in obs)
+
+
+def test_a_custom_sampler_reads_every_iteration_through_the_session():
+    problem = build_cs_instance(32, 12, 4, seed=11)
+    config = SolverConfig(seed=1)
+    reads = _count_session_reads(problem)
+    sampler = lipschitz_power_sampler(problem.componentwise_lipschitz, config.gamma)
+    result = run_solver(problem, "rmini", config, index_sampler=sampler)
+    assert reads == {
+        "eval_full": result.ledger.full_evals,
+        "eval_component": result.ledger.component_evals,
+    }
+    # The custom sampler draws what the default one draws, so only the path differs.
+    assert _outcome(result) == _outcome(run_solver(problem, "rmini", config))
 
 
 # ---------------------------------------------------------------------------
