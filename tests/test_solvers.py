@@ -18,6 +18,7 @@ from minieg import (
     IdentityProjection,
     METHOD_IDS,
     MonotoneMapping,
+    Projection,
     RunStatus,
     SolutionFound,
     SolverConfig,
@@ -651,19 +652,23 @@ def _outcome(result):
     )
 
 
-def _count_session_reads(problem):
-    """Count the charged reads of every session the problem opens from now on."""
-    calls = {"eval_full": 0, "eval_component": 0}
+def _count_session_calls(problem, names=("eval_full", "eval_component")):
+    """Count calls of the named methods of every session the problem opens from now on.
+
+    The methods are wrapped on the session instance, as the benchmark's
+    traced runs wrap them, so a call that bypasses them goes uncounted.
+    """
+    calls = dict.fromkeys(names, 0)
     open_session = problem.open_session
 
     def open_counted(x0, ledger):
         session = open_session(x0, ledger)
-        for name in calls:
-            read = getattr(session, name)
+        for name in names:
+            bound = getattr(session, name)
 
-            def counted(*args, _name=name, _read=read):
+            def counted(*args, _name=name, _call=bound):
                 calls[_name] += 1
-                return _read(*args)
+                return _call(*args)
 
             setattr(session, name, counted)
         return session
@@ -684,7 +689,7 @@ FAST_FORWARD_CASES = {
 def test_fast_forward_matches_the_per_step_path(case):
     build, config = FAST_FORWARD_CASES[case]
     problem = build()
-    reads = _count_session_reads(problem)
+    reads = _count_session_calls(problem)
     fast = run_solver(problem, "rmini", config)
     stepped = run_solver(build(), "rmini", config, callback=lambda obs: None)
     assert _outcome(fast) == _outcome(stepped)
@@ -749,7 +754,7 @@ def test_fast_forward_keeps_negative_zeros_exact(projection, seed):
 def test_a_custom_sampler_reads_every_iteration_through_the_session():
     problem = build_cs_instance(32, 12, 4, seed=11)
     config = SolverConfig(seed=1)
-    reads = _count_session_reads(problem)
+    reads = _count_session_calls(problem)
     sampler = lipschitz_power_sampler(problem.componentwise_lipschitz, config.gamma)
     result = run_solver(problem, "rmini", config, index_sampler=sampler)
     assert reads == {
@@ -758,6 +763,68 @@ def test_a_custom_sampler_reads_every_iteration_through_the_session():
     }
     # The custom sampler draws what the default one draws, so only the path differs.
     assert _outcome(result) == _outcome(run_solver(problem, "rmini", config))
+
+
+# ---------------------------------------------------------------------------
+# Call pattern at the public boundaries
+# ---------------------------------------------------------------------------
+
+
+class _CountedProjection(Projection):
+    """Defines only ``__call__``, as the benchmark's traced projection does."""
+
+    def __init__(self, inner, calls):
+        self._inner = inner
+        self._calls = calls
+
+    def __call__(self, x):
+        self._calls["projection"] += 1
+        return self._inner(x)
+
+
+CALL_PATTERN_CASES = {
+    "cs": (lambda: build_cs_instance(32, 12, 4, seed=11), SolverConfig(seed=1, tolerance=1e-6)),
+    "logreg-dense": (lambda: synthetic_logreg(20, 40, seed=11), SolverConfig(seed=1, tolerance=1e-6)),
+}
+
+# (eval_full, eval_component, shift_coordinate, set_point, projection, sampler)
+# calls of callback-free runs, captured before the step loop reused its vectors.
+CALL_PATTERN = {
+    ("eg", "cs"): (19786, 0, 0, 19785, 9893, 0),
+    ("gmini", "cs"): (4252, 0, 2126, 2125, 2126, 0),
+    ("rmini", "cs"): (18255, 18255, 2293, 2292, 18255, 18255),
+    ("wmax", "cs"): (2131, 4260, 2130, 2129, 2130, 2130),
+    ("eg", "logreg-dense"): (40, 0, 0, 39, 20, 0),
+    ("gmini", "logreg-dense"): (950, 0, 475, 474, 475, 0),
+    ("rmini", "logreg-dense"): (6151, 6151, 6151, 6150, 6151, 6151),
+    ("wmax", "logreg-dense"): (505, 1008, 504, 503, 504, 504),
+}
+
+
+@pytest.mark.parametrize("case", list(CALL_PATTERN_CASES))
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_every_charged_read_and_move_goes_through_the_public_boundaries(method, case):
+    build, config = CALL_PATTERN_CASES[case]
+    problem = build()
+    calls = _count_session_calls(
+        problem, ("eval_full", "eval_component", "shift_coordinate", "set_point")
+    )
+    calls.update(projection=0, sampler=0)
+    draw = lipschitz_power_sampler(problem.componentwise_lipschitz, config.gamma)
+
+    def sampler(gen, session):
+        calls["sampler"] += 1
+        return draw(gen, session)
+
+    result = run_solver(
+        problem, method, config,
+        projection=_CountedProjection(problem.projection, calls), index_sampler=sampler,
+    )
+    assert result.converged
+    assert tuple(calls.values()) == CALL_PATTERN[method, case]
+    assert (calls["eval_full"], calls["eval_component"]) == (
+        result.ledger.full_evals, result.ledger.component_evals
+    )
 
 
 # ---------------------------------------------------------------------------
