@@ -41,6 +41,13 @@ skipped iteration what the loop would, so results and ledgers stay bit for
 bit the same. It does so only when no callback is set and the library's
 own sampler draws, since skipped iterations are neither observed nor
 drawn through a custom sampler.
+
+Every read, shift, rebuild, projection and draw goes through the public
+session methods (``eval_full``, ``eval_component``, ``shift_coordinate``,
+``set_point``), the projection's ``__call__`` and the sampler, which the
+benchmark traces; only a fast-forward charges reads (its skipped full ones)
+without making them. The loop keeps ``x_k`` and ``x_k - beta F(y_k)`` in two
+vectors reused every iteration, and copies only what it reports.
 """
 
 from __future__ import annotations
@@ -346,10 +353,9 @@ def _probe_eg(run: _Run):
 def _probe_gmini(run: _Run):
     """The largest ``|F_i(x)|`` of one full evaluation; ties go to the smallest index."""
     f_x = run.session.eval_full()
-    magnitudes = np.abs(f_x)
-    if float(magnitudes.max()) == 0.0:
+    i = int(np.abs(f_x).argmax())  # a NaN counts as largest, and is no root
+    if f_x[i] == 0.0:
         return None, None, f_x, _NO_WATCH  # x is an exact root; probe in place
-    i = int(np.argmax(magnitudes))
     return i, float(f_x[i]), f_x, _NO_WATCH
 
 
@@ -388,11 +394,9 @@ def _skip_null_steps(run: _Run, most: int) -> int:
 
 def _start_wmax(run: _Run) -> bool:
     """Seed the reference with one full evaluation; True when ``x_0`` is a root."""
-    magnitudes = np.abs(run.session.eval_full())
-    if float(magnitudes.max()) == 0.0:
-        return True
-    run.reference = int(np.argmax(magnitudes))
-    return False
+    f_x = run.session.eval_full()
+    run.reference = int(np.abs(f_x).argmax())
+    return bool(f_x[run.reference] == 0.0)
 
 
 def _probe_wmax(run: _Run):
@@ -495,6 +499,7 @@ def run_solver(
         raise ConfigurationError(
             "problem must provide positive finite componentwise Lipschitz constants"
         )
+    l_list = l.tolist()  # Python floats: the same arithmetic, without numpy scalars
     scale = None
     if method == "eg":
         L = problem.ensure_global_lipschitz()  # outside the timed section
@@ -516,6 +521,7 @@ def run_solver(
 
     status, iterations = RunStatus.ITERATION_CAP, cfg.max_iterations
     final_point = final_residual = failure = None
+    x, step = np.empty(problem.dim), np.empty(problem.dim)  # x_k and x_k - beta F(y_k)
 
     t0 = time.perf_counter()
     if start is not None and start(run):  # x_0 is an exact root: nothing to iterate
@@ -524,17 +530,17 @@ def run_solver(
 
     k = 0
     while k < iterations:
-        x = session.point.copy()
+        np.copyto(x, session.point)
         i, f_x_i, f_x, (challenger, f_ch, f_ref, reset) = probe(run)
         moved = i is None  # eg's probe moves the session to y itself
         if not moved:
-            delta = -(rho / l[i]) * f_x_i
+            delta = -(rho / l_list[i]) * f_x_i
             moved = delta != 0.0
             if moved:
                 session.shift_coordinate(i, delta)
         f_y = session.eval_full()
         norm_sq = float(np.dot(f_y, f_y))
-        residual = float(np.sqrt(norm_sq))
+        residual = math.sqrt(norm_sq)
         converged = residual <= tolerance
         # The probe point is copied only where it is reported.
         y = session.point.copy() if converged or k == last_k or callback is not None else None
@@ -549,13 +555,16 @@ def run_solver(
                 if i is None:
                     beta = beta_full(f_y, x, session.point, norm_sq=norm_sq, iteration=k)
                 else:
-                    beta = beta_component(f_y, i, f_x_i, l[i], rho, norm_sq=norm_sq, iteration=k)
+                    beta = beta_component(
+                        f_y, i, f_x_i, l_list[i], rho, norm_sq=norm_sq, iteration=k
+                    )
             except StepsizeFailure as exc:
-                exc.point = x  # report the iterate the failing step started from
+                exc.point = x.copy()  # report the iterate the failing step started from
                 status, iterations, failure = RunStatus.STEPSIZE_FAILURE, k, exc
                 final_point = x.copy()
                 break
-            x_next = proj(x - beta * f_y)
+            np.multiply(f_y, beta, out=step)
+            x_next = proj(np.subtract(x, step, out=step))
             # An unmoved session still holds the rebuild of x's bytes, so a
             # zero step that keeps them needs no rebuild.
             if moved or beta != 0.0 or not _same_bytes(x_next, x):
@@ -567,7 +576,7 @@ def run_solver(
 
         if callback is not None:
             callback(StepObservation(
-                k=k, x=x, y=y,
+                k=k, x=x.copy(), y=y,
                 x_next=None if converged else np.array(x_next, dtype=float, copy=True),
                 f_y=f_y, f_x=f_x, selected_index=i, selected_value=f_x_i,
                 beta=beta, residual_y=residual, converged=converged, nf_so_far=ledger.nf,

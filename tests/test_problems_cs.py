@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minieg import ConfigurationError, run_solver, SolverConfig, seeded_generator
+from minieg import ConfigurationError, CostLedger, run_solver, SolverConfig, seeded_generator
 from minieg.core import STREAM_SOLVER
 from minieg.problems import (
     CSProblem,
@@ -103,6 +103,44 @@ def test_structured_evaluation_matches_the_dense_formula():
         np.testing.assert_allclose(
             problem.eval_full(z), _dense_residual(problem, z), rtol=0.0, atol=1e-11
         )
+
+
+def _numpy_scalar_component(session, i):
+    """The session's component formula, evaluated on numpy scalars as it once was."""
+    p = session.problem
+    n = p.n_signal
+    if i < n:
+        q = session._g[i] + p._c_top[i]
+    else:
+        q = p._c_bot[i - n] - session._g[i - n]
+    return float(min(session._x[i], q))
+
+
+def test_component_reads_are_python_floats_with_the_numpy_scalar_bytes():
+    problem = build_cs_instance(256, 64, 8, seed=0)
+    gen = seeded_generator(5, STREAM_SOLVER)
+    dim = problem.dim
+    sparse = gen.random(dim)
+    sparse[gen.random(dim) < 0.8] = 0.0
+    points = [gen.random(dim) * scale for scale in (1e-3, 1.0, 30.0)] + [sparse, np.zeros(dim)]
+    for z in points:
+        session = problem.open_session(z, CostLedger(dim))
+        full = problem.eval_full(z)
+        for i in range(dim):
+            value = session.eval_component(i)
+            assert type(value) is float
+            assert value == full[i]
+            assert value.hex() == _numpy_scalar_component(session, i).hex()
+    # After shifts the cache drifts from a fresh evaluation, and with a NaN in
+    # the point the min keeps whichever argument comes first: the bytes still
+    # follow the numpy-scalar formula.
+    z = sparse.copy()
+    z[7] = np.nan
+    session = problem.open_session(z, CostLedger(dim))
+    for i in gen.integers(0, dim, size=50):
+        session.shift_coordinate(int(i), float(gen.standard_normal()))
+    for i in range(dim):
+        assert session.eval_component(i).hex() == _numpy_scalar_component(session, i).hex()
 
 
 def test_instance_round_trip_is_bit_exact(tmp_path):

@@ -478,6 +478,12 @@ def test_misdeclared_slope_aborts_with_stepsize_failure(method):
     # The reported point is the iterate the failing step started from.
     np.testing.assert_array_equal(result.final_point, [0.0])
     assert result.final_residual == 2.0
+    _assert_separate_copies(result.failure.point, result.final_point)
+
+
+def _assert_separate_copies(a, b):
+    assert a.tobytes() == b.tobytes()
+    assert a is not b and not np.shares_memory(a, b)
 
 
 def test_underestimated_global_constant_aborts_the_full_method():
@@ -494,6 +500,7 @@ def test_underestimated_global_constant_aborts_the_full_method():
     assert result.failure.product < 0
     np.testing.assert_array_equal(result.final_point, x0)
     assert result.final_residual == float(np.linalg.norm(matrix @ x0))
+    _assert_separate_copies(result.failure.point, result.final_point)
 
 
 def test_correct_constants_do_not_fail():
@@ -570,6 +577,40 @@ def test_every_iteration_is_observed():
     nf_values = [o.nf_so_far for o in obs]
     assert nf_values == sorted(nf_values)
     assert all(o.reset in (True, False) for o in obs)
+
+
+@pytest.mark.parametrize("case", ["cs", "affine"])  # nonnegative and identity projections
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_observed_vectors_are_not_overwritten_by_later_iterations(method, case):
+    build = {
+        "cs": lambda: build_cs_instance(24, 8, 3, seed=1),
+        "affine": lambda: random_spd_affine(6, seed=2),
+    }[case]
+    config = SolverConfig(max_iterations=40, tolerance=1e-300)
+    _, obs = _collect(build(), method, config)
+    assert len(obs) == 40
+    assert len({o.x.tobytes() for o in obs}) > 1  # the iterate moved
+    for before, after in zip(obs, obs[1:]):
+        assert after.x.tobytes() == before.x_next.tobytes()
+
+
+class _ShrinksAfterTheStart(Projection):
+    """Projects the start point faithfully, then drops the last coordinate."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return x if self.calls == 1 else x[:-1]
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_a_projection_of_the_wrong_shape_fails_fast(method):
+    problem = random_spd_affine(6, seed=2)
+    config = SolverConfig(max_iterations=5, tolerance=1e-300)
+    with pytest.raises(ConfigurationError, match="shape"):
+        run_solver(problem, method, config, projection=_ShrinksAfterTheStart())
 
 
 @pytest.mark.parametrize("method", METHOD_IDS)
