@@ -25,12 +25,9 @@ from .solvers import (
     METHOD_IDS,
     RunResult,
     RunStatus,
-    SolutionFound,
     SolverConfig,
     StepObservation,
     StepsizeFailure,
-    beta_component,
-    beta_full,
     lipschitz_power_sampler,
     method_display_name,
     run_solver,
@@ -52,12 +49,9 @@ __all__ = [
     "METHOD_IDS",
     "RunResult",
     "RunStatus",
-    "SolutionFound",
     "SolverConfig",
     "StepObservation",
     "StepsizeFailure",
-    "beta_component",
-    "beta_full",
     "lipschitz_power_sampler",
     "method_display_name",
     "run_solver",

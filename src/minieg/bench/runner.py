@@ -17,7 +17,13 @@ from typing import Protocol
 
 import numpy as np
 
-from ..core import ConfigurationError, MonotoneMapping, STREAM_X0, seeded_generator
+from ..core import (
+    ConfigurationError,
+    MonotoneMapping,
+    STREAM_X0,
+    _is_integer,
+    seeded_generator,
+)
 from ..problems import (
     CSProblem,
     build_cs_instance,
@@ -28,7 +34,6 @@ from ..problems import (
 )
 from ..problems.logreg import LogRegProblem
 from ..solvers import (
-    METHOD_IDS,
     RunStatus,
     SolverConfig,
     method_display_name,
@@ -186,14 +191,14 @@ class ExperimentSpec:
             raise ConfigurationError("at least one method is required")
         object.__setattr__(self, "methods", tuple(self.methods))
         for m in self.methods:
-            if m not in METHOD_IDS:
-                raise ConfigurationError(
-                    f"unknown method {m!r}; choose from {', '.join(METHOD_IDS)}"
-                )
+            method_display_name(m)  # rejects an unknown method id
         if len(set(self.methods)) != len(self.methods):
             raise ConfigurationError("methods must be unique")
-        if self.trials < 1:
-            raise ConfigurationError(f"trials must be at least 1, got {self.trials}")
+        if not _is_integer(self.trials) or self.trials < 1:
+            raise ConfigurationError(
+                f"trials must be an integer of at least 1, got {self.trials!r}"
+            )
+        object.__setattr__(self, "trials", int(self.trials))
         if self.x0_policy not in ("zeros", "gaussian"):
             raise ConfigurationError(f"unknown x0 policy {self.x0_policy!r}")
 

@@ -49,10 +49,8 @@ __all__ = ["main"]
 
 
 def _parse_methods(text: str) -> tuple[str, ...]:
-    methods = tuple(part.strip() for part in text.split(",") if part.strip())
-    if not methods:
-        raise ConfigurationError("--method needs at least one method id")
-    return methods
+    # An empty list is left to ExperimentSpec, which rejects it.
+    return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
 def _parse_cs(text: str) -> tuple[int, int, int, float]:

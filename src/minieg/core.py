@@ -44,6 +44,14 @@ class ConfigurationError(ValueError):
     """Raised when user-supplied parameters are out of range or inconsistent."""
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, and not a bool.
+
+    Floats are not integers here, even when integral.
+    """
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic random streams
 # ---------------------------------------------------------------------------

@@ -4,8 +4,12 @@ All four methods share one probe-then-project loop (:func:`run_solver`): a
 probe moves the iterate ``x_k`` to ``y_k`` and the loop reads ``F(y_k)`` in
 full. It returns ``y_k`` as the solution once that norm is within the
 tolerance, and otherwise projects ``x_k - beta_k F(y_k)`` onto the feasible
-region, with ``beta_k`` from :func:`beta_full` or :func:`beta_component`.
-Only the probe differs:
+region. Every method takes the same step size
+``beta_k = <F(y_k), x_k - y_k> / ||F(y_k)||^2``. After a probe along ``e_i``
+(a step of ``rho/l_i``) the inner product is ``(rho/l_i) F_i(y_k) F_i(x_k)``,
+and the sign test reads ``F_i(y_k) F_i(x_k)`` alone. A negative value ends
+the run with :class:`StepsizeFailure`; zero gives the legal null step
+``beta_k = 0``. Only the probe differs:
 
 ``eg``
     Classic extragradient: a full step of ``rho/L`` along ``-F(x_k)``.
@@ -67,18 +71,16 @@ from .core import (
     MonotoneMapping,
     Projection,
     STREAM_SOLVER,
+    _is_integer,
     seeded_generator,
 )
 
 __all__ = [
-    "SolutionFound",
     "StepsizeFailure",
     "RunStatus",
     "SolverConfig",
     "StepObservation",
     "RunResult",
-    "beta_full",
-    "beta_component",
     "lipschitz_power_sampler",
     "METHOD_IDS",
     "method_display_name",
@@ -86,19 +88,6 @@ __all__ = [
 ]
 
 IndexSampler = Callable[[np.random.Generator, EvaluationSession], int]
-
-
-class SolutionFound(Exception):
-    """The map vanished at the probe point: it is an exact solution.
-
-    Raised by the step-size rules when ``||F(y)|| = 0`` so that callers using
-    them outside the solver loop cannot divide by zero. The driver never
-    triggers it (the residual test fires first).
-    """
-
-    def __init__(self, point: np.ndarray | None = None) -> None:
-        super().__init__("the probe point solves the system exactly")
-        self.point = point
 
 
 class StepsizeFailure(RuntimeError):
@@ -161,12 +150,11 @@ class SolverConfig:
             raise ConfigurationError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if not 0 < self.tolerance < math.inf:
             raise ConfigurationError(f"tolerance must be finite and positive, got {self.tolerance}")
-        # Numpy integers are integers too; floats are rejected even when integral.
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+        if not _is_integer(self.max_iterations) or self.max_iterations < 1:
             raise ConfigurationError(
                 f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         for name in ("max_iterations", "seed"):  # plain ints, so results export as JSON
             object.__setattr__(self, name, int(getattr(self, name)))
@@ -176,10 +164,12 @@ class SolverConfig:
 class StepObservation:
     """Full per-iteration state handed to callbacks (arrays are copies).
 
-    ``f_x`` is only populated by methods that compute the full map at ``x_k``
-    (eg, gmini); observers that need it elsewhere can evaluate the problem.
     ``x_next`` is None, and ``beta`` 0.0, on the converging iteration;
-    ``nf_so_far`` is the ledger's NF after the iteration's charges.
+    ``nf_so_far`` is the ledger's NF after the iteration's charges. The
+    fields with defaults are filled only by the methods that compute them:
+    ``f_x`` by those that evaluate the full map at ``x_k`` (eg, gmini), the
+    last four by wmax. Observers that need ``f_x`` elsewhere can evaluate
+    the problem.
     """
 
     k: int
@@ -187,13 +177,13 @@ class StepObservation:
     y: np.ndarray
     x_next: np.ndarray | None
     f_y: np.ndarray
-    f_x: np.ndarray | None
     selected_index: int | None
     selected_value: float | None
     beta: float
     residual_y: float
     converged: bool
     nf_so_far: float
+    f_x: np.ndarray | None = None
     challenger_index: int | None = None
     challenger_value: float | None = None
     reference_value: float | None = None
@@ -227,58 +217,6 @@ class RunResult:
     @property
     def converged(self) -> bool:
         return self.status is RunStatus.CONVERGED
-
-
-# ---------------------------------------------------------------------------
-# Step-size rules
-# ---------------------------------------------------------------------------
-
-
-def beta_full(
-    f_y: np.ndarray, x: np.ndarray, y: np.ndarray, *,
-    norm_sq: float | None = None, iteration: int | None = None,
-) -> float:
-    """Projection step size for the full-vector method.
-
-    ``beta = <F(y), x - y> / ||F(y)||^2``. Raises :class:`SolutionFound`
-    when ``F(y)`` vanishes -- the probe point is then an exact solution and
-    no step is needed. A strictly negative inner product raises
-    :class:`StepsizeFailure`, as in :func:`beta_component`.
-    """
-    if norm_sq is None:
-        norm_sq = float(np.dot(f_y, f_y))
-    if norm_sq == 0.0:
-        raise SolutionFound(np.array(y, dtype=float, copy=True))
-    product = float(np.dot(f_y, x - y))
-    if product < 0.0:
-        raise StepsizeFailure(product, iteration=iteration)
-    return product / norm_sq
-
-
-def beta_component(
-    f_y: np.ndarray,
-    i: int,
-    f_x_i: float,
-    l_i: float,
-    rho: float,
-    *,
-    norm_sq: float | None = None,
-    iteration: int | None = None,
-) -> float:
-    """Projection step size for the single-coordinate methods.
-
-    ``beta = rho * F_i(y) * F_i(x) / (l_i * ||F(y)||^2)``. A zero product
-    gives the legal degenerate step ``beta = 0``; a strictly negative one
-    raises :class:`StepsizeFailure` since it would break Fejer monotonicity.
-    """
-    product = float(f_y[i]) * float(f_x_i)
-    if product < 0.0:
-        raise StepsizeFailure(product, iteration=iteration, coordinate=int(i))
-    if norm_sq is None:
-        norm_sq = float(np.dot(f_y, f_y))
-    if norm_sq == 0.0:
-        raise SolutionFound()
-    return rho * product / (l_i * norm_sq)
 
 
 _SAMPLER_BLOCK = 1024
@@ -339,15 +277,12 @@ class _Run:
     ahead: tuple[int, float] | None = None  # rmini's next (i, F_i(x)), read by a fast-forward
 
 
-_NO_WATCH = (None, None, None, None)  # (challenger, F_c, F_ref, reset) outside wmax
-
-
 def _probe_eg(run: _Run):
     """Full probe ``y = x - (rho/L) F(x)``: one full evaluation."""
     session = run.session
     f_x = session.eval_full()
     session.set_point(session.point - run.scale * f_x)
-    return None, None, f_x, _NO_WATCH
+    return None, None, {"f_x": f_x}
 
 
 def _probe_gmini(run: _Run):
@@ -355,17 +290,17 @@ def _probe_gmini(run: _Run):
     f_x = run.session.eval_full()
     i = int(np.abs(f_x).argmax())  # a NaN counts as largest, and is no root
     if f_x[i] == 0.0:
-        return None, None, f_x, _NO_WATCH  # x is an exact root; probe in place
-    return i, float(f_x[i]), f_x, _NO_WATCH
+        return None, None, {"f_x": f_x}  # x is an exact root; probe in place
+    return i, float(f_x[i]), {"f_x": f_x}
 
 
 def _probe_rmini(run: _Run):
     """One drawn coordinate: a single coordinate read, or the one a fast-forward made."""
     if run.ahead is not None:
         (i, f_x_i), run.ahead = run.ahead, None
-        return i, f_x_i, None, _NO_WATCH
+        return i, f_x_i, {}
     i = int(run.sampler(run.gen, run.session))
-    return i, run.session.eval_component(i), None, _NO_WATCH
+    return i, run.session.eval_component(i), {}
 
 
 def _skip_null_steps(run: _Run, most: int) -> int:
@@ -393,10 +328,9 @@ def _skip_null_steps(run: _Run, most: int) -> int:
 
 
 def _start_wmax(run: _Run) -> bool:
-    """Seed the reference with one full evaluation; True when ``x_0`` is a root."""
-    f_x = run.session.eval_full()
-    run.reference = int(np.abs(f_x).argmax())
-    return bool(f_x[run.reference] == 0.0)
+    """Seed the reference with gmini's probe at ``x_0``; True when ``x_0`` is a root."""
+    run.reference = _probe_gmini(run)[0]
+    return run.reference is None
 
 
 def _probe_wmax(run: _Run):
@@ -415,14 +349,18 @@ def _probe_wmax(run: _Run):
     reset = bool(abs(f_ch) > abs(f_ref))  # ties keep the reference
     i, f_x_i = (challenger, f_ch) if reset else (run.reference, f_ref)
     run.reference = i
-    return i, f_x_i, None, (challenger, f_ch, f_ref, reset)
+    return i, f_x_i, {
+        "challenger_index": challenger, "challenger_value": f_ch,
+        "reference_value": f_ref, "reset": reset,
+    }
 
 
 # method id -> (display name, probe, start hook). A probe makes the method's
-# charged reads at x_k and returns (i, F_i(x_k), F(x_k) or None, watchdog
-# tuple); the driver then moves coordinate i to reach y_k, or finds the
-# session at y_k already when i is None. A start hook runs once before the
-# first iteration and returns True when x_0 is an exact root.
+# charged reads at x_k and returns (i, F_i(x_k), observation-only fields);
+# run_solver then moves coordinate i to reach y_k, or finds the session at
+# y_k already when i is None, and hands the fields to the callback's
+# StepObservation alone. A start hook runs once before the first iteration
+# and returns True when x_0 is an exact root.
 _METHODS = {
     "eg": ("EG", _probe_eg, None),
     "gmini": ("G-Mini-EG", _probe_gmini, None),
@@ -531,7 +469,7 @@ def run_solver(
     k = 0
     while k < iterations:
         np.copyto(x, session.point)
-        i, f_x_i, f_x, (challenger, f_ch, f_ref, reset) = probe(run)
+        i, f_x_i, seen = probe(run)
         moved = i is None  # eg's probe moves the session to y itself
         if not moved:
             delta = -(rho / l_list[i]) * f_x_i
@@ -551,18 +489,18 @@ def run_solver(
                 status, iterations = RunStatus.NON_FINITE_RESIDUAL, k
                 final_point, final_residual = session.point.copy(), residual
                 break
-            try:
-                if i is None:
-                    beta = beta_full(f_y, x, session.point, norm_sq=norm_sq, iteration=k)
-                else:
-                    beta = beta_component(
-                        f_y, i, f_x_i, l_list[i], rho, norm_sq=norm_sq, iteration=k
-                    )
-            except StepsizeFailure as exc:
-                exc.point = x.copy()  # report the iterate the failing step started from
-                status, iterations, failure = RunStatus.STEPSIZE_FAILURE, k, exc
+            # The step size <F(y), x - y> / ||F(y)||^2, read along e_i after a
+            # coordinate probe; norm_sq > 0 here, as the tolerance is positive.
+            if i is None:
+                product = float(np.dot(f_y, np.subtract(x, session.point, out=step)))
+            else:
+                product = f_y.item(i) * f_x_i
+            if product < 0.0:  # report the iterate the failing step started from
+                failure = StepsizeFailure(product, iteration=k, coordinate=i, point=x.copy())
+                status, iterations = RunStatus.STEPSIZE_FAILURE, k
                 final_point = x.copy()
                 break
+            beta = product / norm_sq if i is None else rho * product / (l_list[i] * norm_sq)
             np.multiply(f_y, beta, out=step)
             x_next = proj(np.subtract(x, step, out=step))
             # An unmoved session still holds the rebuild of x's bytes, so a
@@ -578,10 +516,8 @@ def run_solver(
             callback(StepObservation(
                 k=k, x=x.copy(), y=y,
                 x_next=None if converged else np.array(x_next, dtype=float, copy=True),
-                f_y=f_y, f_x=f_x, selected_index=i, selected_value=f_x_i,
-                beta=beta, residual_y=residual, converged=converged, nf_so_far=ledger.nf,
-                challenger_index=challenger, challenger_value=f_ch,
-                reference_value=f_ref, reset=reset,
+                f_y=f_y, selected_index=i, selected_value=f_x_i, beta=beta,
+                residual_y=residual, converged=converged, nf_so_far=ledger.nf, **seen,
             ))
         if converged:
             status, iterations = RunStatus.CONVERGED, k + 1

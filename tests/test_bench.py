@@ -99,10 +99,15 @@ def test_spec_validation():
         ExperimentSpec(source=source, methods=())
     with pytest.raises(ConfigurationError):
         ExperimentSpec(source=source, methods=("eg", "eg"))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="unknown method 'newton'"):
         ExperimentSpec(source=source, methods=("newton",))
     with pytest.raises(ConfigurationError):
         ExperimentSpec(source=source, trials=0)
+    for count in (2.0, 1.5, True, False, np.bool_(True), "2"):
+        with pytest.raises(ConfigurationError, match="trials must be an integer"):
+            ExperimentSpec(source=source, trials=count)
+    spec = ExperimentSpec(source=source, trials=np.int64(3))
+    assert spec.trials == 3 and type(spec.trials) is int
     with pytest.raises(ConfigurationError):
         ExperimentSpec(source=source, x0_policy="warm")
 

@@ -47,6 +47,29 @@ def test_bench_json_file_validates_against_the_schema(tmp_path, capsys):
     assert payload["experiment"]["source"]["kind"] == "synthetic-cs"
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv"])
+def test_bench_writes_tables_and_csv_files(fmt, tmp_path, capsys):
+    out = tmp_path / f"result.{fmt}"
+    code = main([
+        "bench", "--affine", "8", "--method", "gmini,wmax", "--trials", "2",
+        "--format", fmt, "--out", str(out),
+    ])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    # The summary table goes to stdout whatever the file holds.
+    assert "G-Mini-EG" in stdout and "Watchdog-Max" in stdout
+    assert stdout.endswith(f"wrote {fmt} to {out}\n")
+    written = out.read_text()
+    if fmt == "table":
+        assert written == stdout.split(f"\nwrote {fmt}")[0]
+    else:
+        lines = written.splitlines()
+        assert lines[0] == "method,trial,itr,nf,tcpu_s,final_residual,status,seed"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["gmini", "0"], ["wmax", "0"], ["gmini", "1"], ["wmax", "1"],
+        ]
+
+
 def test_bench_verbose_ticker_lands_on_stderr(capsys):
     code = main([
         "bench", "--affine", "6", "--method", "gmini", "--trials", "1",
@@ -126,6 +149,38 @@ def test_sweep_rho_prints_rows_and_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "method,rho,metric,mean,std"
     assert len(lines) == 1 + 2 * 4  # grid points x metrics
+
+
+def test_sweep_rho_writes_json(tmp_path, capsys):
+    out = tmp_path / "sweep.json"
+    code = main([
+        "sweep-rho", "--affine", "6", "--method", "gmini", "--trials", "1",
+        "--grid", "0.5,0.9", "--format", "json", "--out", str(out),
+    ])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    assert stdout.startswith("method")
+    assert stdout.endswith(f"wrote json to {out}\n")
+    payload = json.loads(out.read_text())
+    assert payload["format"] == "minieg-sweep-v1"
+    assert payload["grid"] == [0.5, 0.9]
+    assert len(payload["rows"]) == 2 * 4  # grid points x metrics
+    assert {row["method"] for row in payload["rows"]} == {"gmini"}
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["bench", "--cs", "24,8,x"], "could not parse --cs value"),
+    (["bench", "--affine", "4,spd,3"], "--affine expects"),
+    (["bench", "--affine", "four"], "could not parse --affine dimension"),
+    (["bench", "--affine", "4", "--method", ","], "at least one method"),
+    (["sweep-rho", "--affine", "4", "--grid", "0.5,x"], "could not parse --grid value"),
+])
+def test_unparsable_values_exit_with_an_error(argv, needle, capsys):
+    code = main(argv + ["--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and needle in captured.err
+    assert captured.out == ""
 
 
 def test_malformed_cs_spec_exits_with_an_error(capsys):

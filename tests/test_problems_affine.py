@@ -1,0 +1,41 @@
+"""Affine test maps: every rejected construction names its cause."""
+
+import numpy as np
+import pytest
+
+from minieg import ConfigurationError
+from minieg.problems import AffineMonotoneProblem, random_spd_affine, skew_rotation_problem
+
+REJECTED = {
+    "non-square": (lambda: AffineMonotoneProblem(np.ones((2, 3))), "must be square"),
+    "rhs-shape": (lambda: AffineMonotoneProblem(np.eye(2), rhs=np.ones(3)), "rhs must have shape"),
+    "not-monotone": (
+        lambda: AffineMonotoneProblem(np.diag([1.0, -1.0]), componentwise_lipschitz=[1.0, 1.0]),
+        "not monotone",
+    ),
+    "zero-diagonal": (
+        lambda: AffineMonotoneProblem([[0.0, 1.0], [-1.0, 0.0]]), "zero diagonal entries"
+    ),
+    "constants-shape": (
+        lambda: AffineMonotoneProblem(np.eye(2), componentwise_lipschitz=[1.0]),
+        "componentwise_lipschitz must have shape",
+    ),
+    "constants-nonpositive": (
+        lambda: AffineMonotoneProblem(np.eye(2), componentwise_lipschitz=[1.0, 0.0]),
+        "must be positive",
+    ),
+    "constants-below-diagonal": (
+        lambda: AffineMonotoneProblem(np.diag([2.0, 1.0]), componentwise_lipschitz=[1.0, 1.0]),
+        "must dominate",
+    ),
+    "spd-dim": (lambda: random_spd_affine(0, seed=0), "dim must be at least 1"),
+    "skew-odd-dim": (lambda: skew_rotation_problem(3), "even dim"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTED))
+def test_rejected_constructions_raise_configuration_errors(case):
+    build, message = REJECTED[case]
+    with pytest.raises(ConfigurationError, match=message):
+        build()
+

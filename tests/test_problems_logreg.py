@@ -121,6 +121,9 @@ def test_validation_errors():
         LogRegProblem(np.ones(4), good)  # 1-d features
     with pytest.raises(ConfigurationError):
         LogRegProblem(X, good[:3])  # sample count mismatch
+    for empty in (np.ones((0, 3)), np.ones((4, 0)), sp.csr_matrix((4, 0))):
+        with pytest.raises(ConfigurationError, match="at least one feature and one sample"):
+            LogRegProblem(empty, good[: empty.shape[0]])
     with pytest.raises(ConfigurationError):
         synthetic_logreg(0, 10)
     with pytest.raises(ConfigurationError):

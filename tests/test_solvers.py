@@ -20,11 +20,8 @@ from minieg import (
     MonotoneMapping,
     Projection,
     RunStatus,
-    SolutionFound,
     SolverConfig,
     StepsizeFailure,
-    beta_component,
-    beta_full,
     lipschitz_power_sampler,
     method_display_name,
     run_solver,
@@ -41,82 +38,25 @@ from minieg.problems import (
 
 
 # ---------------------------------------------------------------------------
-# Step-size rules
+# Step size
 # ---------------------------------------------------------------------------
 
 
-def test_beta_full_hand_values():
-    zero = np.zeros(2)
-    assert beta_full(np.array([1.0, 0.0]), np.array([2.0, 0.0]), zero) == 2.0
-    assert beta_full(np.array([0.0, 1.0]), np.array([3.0, 0.0]), zero) == 0.0
-    assert beta_full(np.array([1.0, 1.0]), np.array([1.0, 3.0]), zero) == 2.0
+@pytest.mark.parametrize("method", ["gmini", "rmini", "wmax"])
+def test_the_mini_step_size_is_the_general_rule_at_the_probe(method):
+    """Along ``e_i`` run_solver's step size is ``<F(y), x - y> / ||F(y)||^2``.
 
-
-def test_beta_full_zero_map_raises_solution_found():
-    y = np.array([4.0, 5.0])
-    with pytest.raises(SolutionFound) as info:
-        beta_full(np.zeros(2), np.ones(2), y)
-    np.testing.assert_array_equal(info.value.point, y)
-
-
-def test_beta_full_negative_inner_product_fails():
-    # <F(y), x - y> = (-1) * 2 < 0: the full probe overshot the root.
-    with pytest.raises(StepsizeFailure) as info:
-        beta_full(np.array([-1.0, 0.0]), np.array([2.0, 0.0]), np.zeros(2), iteration=4)
-    err = info.value
-    assert err.product == -2.0
-    assert err.coordinate is None
-    assert err.iteration == 4
-    assert "<F(y), x - y>" in str(err)
-
-
-def test_beta_component_hand_value():
-    # rho=0.5, F_i(x)=2, F_i(y)=1, l_i=2, ||F(y)||^2=1  ->  0.5*1*2/(2*1) = 0.5
-    f_y = np.array([1.0, 0.0])
-    assert beta_component(f_y, 0, 2.0, 2.0, 0.5) == 0.5
-
-
-def test_beta_component_zero_product_is_legal_degenerate_step():
-    f_y = np.array([0.0, 1.0])
-    assert beta_component(f_y, 0, 2.0, 1.0, 0.9) == 0.0
-    f_y2 = np.array([1.0, 1.0])
-    assert beta_component(f_y2, 0, 0.0, 1.0, 0.9) == 0.0
-
-
-def test_beta_component_negative_product_fails():
-    f_y = np.array([-1.0, 0.0])
-    with pytest.raises(StepsizeFailure) as info:
-        beta_component(f_y, 0, 2.0, 1.0, 0.9, iteration=17)
-    err = info.value
-    assert err.product == -2.0
-    assert err.coordinate == 0
-    assert err.iteration == 17
-
-
-def test_beta_component_zero_norm_raises_solution_found():
-    with pytest.raises(SolutionFound):
-        beta_component(np.zeros(3), 1, 0.0, 1.0, 0.5)
-
-
-def test_beta_component_matches_beta_full_on_mini_steps():
-    """The component rule equals the general rule at the mini-step displacement."""
+    The first 100 iterations stay far enough from the root that ``x - y``,
+    recomputed in floating point, still holds the probe's displacement to
+    full precision.
+    """
     problem = random_spd_affine(8, seed=21)
-    l = problem.componentwise_lipschitz
-    gen = seeded_generator(21, STREAM_SOLVER)
-    rho = 0.7
-    worst = 0.0
-    for _ in range(1000):
-        x = gen.standard_normal(8) * 2.0
-        i = int(gen.integers(0, 8))
-        f_x = problem.eval_full(x)
-        y = x.copy()
-        y[i] -= (rho / l[i]) * f_x[i]
-        f_y = problem.eval_full(y)
-        a = beta_component(f_y, i, float(f_x[i]), float(l[i]), rho)
-        b = beta_full(f_y, x, y)
-        scale = max(abs(a), abs(b), 1e-30)
-        worst = max(worst, abs(a - b) / scale)
-    assert worst < 1e-12
+    config = SolverConfig(rho=0.7, max_iterations=100, tolerance=1e-300)
+    _, obs = _collect(problem, method, config)
+    assert len(obs) == 100 and not any(o.converged for o in obs)
+    for o in obs:
+        general = float(np.dot(o.f_y, o.x - o.y)) / float(np.dot(o.f_y, o.f_y))
+        assert o.beta == pytest.approx(general, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +407,8 @@ class _MisdeclaredSlope(MonotoneMapping):
 @pytest.mark.parametrize("method", ["gmini", "rmini", "wmax"])
 def test_misdeclared_slope_aborts_with_stepsize_failure(method):
     problem = _MisdeclaredSlope()
-    result = run_solver(problem, method, SolverConfig(rho=0.999))
+    rho = 0.999
+    result = run_solver(problem, method, SolverConfig(rho=rho))
     assert result.status is RunStatus.STEPSIZE_FAILURE
     assert not result.converged
     assert result.iterations == 0
@@ -475,6 +416,12 @@ def test_misdeclared_slope_aborts_with_stepsize_failure(method):
     assert result.failure.iteration == 0
     assert result.failure.coordinate == 0
     assert result.failure.product < 0
+    # The tested quantity is F_i(y) * F_i(x) at the probe y = x - (rho/l_i) F_i(x) e_i.
+    x = result.failure.point
+    f_x = problem.eval_full(x)
+    y = x - (rho / 0.5) * f_x
+    assert result.failure.product == problem.eval_full(y)[0] * f_x[0]
+    assert "F_i(y) * F_i(x)" in str(result.failure)
     # The reported point is the iterate the failing step started from.
     np.testing.assert_array_equal(result.final_point, [0.0])
     assert result.final_residual == 2.0
@@ -492,12 +439,18 @@ def test_underestimated_global_constant_aborts_the_full_method():
         matrix, global_lipschitz=0.05 * float(np.linalg.norm(matrix, 2))
     )
     x0 = np.ones(8)
-    result = run_solver(problem, "eg", SolverConfig(max_iterations=5000), x0=x0)
+    config = SolverConfig(max_iterations=5000)
+    result = run_solver(problem, "eg", config, x0=x0)
     assert result.status is RunStatus.STEPSIZE_FAILURE
     assert result.iterations == 0
     assert result.failure.iteration == 0
     assert result.failure.coordinate is None
     assert result.failure.product < 0
+    # The tested quantity is <F(y), x - y> at the probe y = x - (rho/L) F(x).
+    y = x0 - (config.rho / problem.ensure_global_lipschitz()) * problem.eval_full(x0)
+    expected = float(np.dot(problem.eval_full(y), x0 - y))
+    assert result.failure.product == pytest.approx(expected, rel=1e-12, abs=0.0)
+    assert "<F(y), x - y>" in str(result.failure)
     np.testing.assert_array_equal(result.final_point, x0)
     assert result.final_residual == float(np.linalg.norm(matrix @ x0))
     _assert_separate_copies(result.failure.point, result.final_point)
@@ -911,7 +864,8 @@ def test_config_validation():
                 dict(seed=2**64), dict(tolerance=math.nan), dict(tolerance=math.inf),
                 dict(gamma=math.nan), dict(gamma=math.inf), dict(max_iterations=1e3),
                 dict(max_iterations=10.0), dict(seed=1.5), dict(seed=np.float64(2.0)),
-                dict(seed="3")):
+                dict(seed="3"), dict(seed=True), dict(seed=False),
+                dict(max_iterations=True), dict(max_iterations=np.bool_(True))):
         with pytest.raises(ConfigurationError):
             SolverConfig(**bad)
     config = SolverConfig(max_iterations=np.int64(7), seed=np.uint32(3))
@@ -936,6 +890,32 @@ def test_rejects_a_non_finite_start_point(method):
     x0[3] = np.nan
     with pytest.raises(ConfigurationError, match="finite"):
         run_solver(problem, method, SolverConfig(max_iterations=20_000), x0=x0)
+
+
+class _SlopeOfShape(_MisdeclaredSlope):
+    """The one-dimensional line map, advertising constants of a given value."""
+
+    def __init__(self, constants):
+        self.constants = np.asarray(constants, dtype=float)
+
+    @property
+    def componentwise_lipschitz(self):
+        return self.constants
+
+
+@pytest.mark.parametrize("constants", [[1.0, 1.0], [0.0], [-1.0], [np.inf], [np.nan]])
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_rejects_unusable_componentwise_constants(method, constants):
+    with pytest.raises(ConfigurationError, match="componentwise Lipschitz constants"):
+        run_solver(_SlopeOfShape(constants), method)
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, np.nan])
+def test_the_full_method_rejects_an_unusable_global_constant(bound):
+    problem = AffineMonotoneProblem(np.eye(2), global_lipschitz=bound)
+    with pytest.raises(ConfigurationError, match="global Lipschitz bound"):
+        run_solver(problem, "eg")
+    assert run_solver(problem, "gmini").converged  # only eg reads the bound
 
 
 def test_rejects_mismatched_start_dimension():
