@@ -59,6 +59,116 @@ def test_the_mini_step_size_is_the_general_rule_at_the_probe(method):
         assert o.beta == pytest.approx(general, rel=1e-12, abs=0.0)
 
 
+class _TableMap(MonotoneMapping):
+    """A map given point by point: ``table[tuple(x)]`` where listed, else ``x``.
+
+    It need not be monotone; it feeds the driver's step rule chosen values of
+    ``F(x)`` and ``F(y)``. ``l_i = 1`` and ``L = 1``.
+    """
+
+    def __init__(self, dim, table):
+        self._dim = dim
+        self._table = {k: np.asarray(v, dtype=float) for k, v in table.items()}
+
+    @property
+    def dim(self):
+        return self._dim
+
+    @property
+    def componentwise_lipschitz(self):
+        return np.ones(self._dim)
+
+    def ensure_global_lipschitz(self):
+        return 1.0
+
+    def eval_full(self, x):
+        x = self._check_point(x)
+        return self._table.get(tuple(x.tolist()), x).copy()
+
+    def open_session(self, x0, ledger):
+        return _GenericSession(self, x0, ledger)
+
+
+def test_beta_full_hand_values():
+    # rho/L = 0.5 and F(x0) = 2 x0 put the probe at y = 0, where F(y) = f_y:
+    # beta = <f_y, x0> / ||f_y||^2.
+    config = SolverConfig(rho=0.5, max_iterations=1, tolerance=1e-12)
+    for x0, f_y, expected in [
+        ((2.0, 0.0), (1.0, 0.0), 2.0),
+        ((3.0, 0.0), (0.0, 1.0), 0.0),
+        ((1.0, 3.0), (1.0, 1.0), 2.0),
+    ]:
+        problem = _TableMap(2, {x0: 2.0 * np.array(x0), (0.0, 0.0): f_y})
+        _, obs = _collect(problem, "eg", config, x0=np.array(x0))
+        np.testing.assert_array_equal(obs[0].y, [0.0, 0.0])
+        assert obs[0].beta == expected
+        np.testing.assert_array_equal(obs[0].x_next, np.array(x0) - expected * np.array(f_y))
+
+
+def test_beta_full_negative_inner_product_fails():
+    # F(x) = x halves x0 = (32, 0) four times (beta = 1, 1, 1, 0.5); at
+    # x_4 = (2, 0) the probe lands on y = 0, where <F(y), x - y> = (-1) * 2 < 0.
+    problem = _TableMap(2, {(2.0, 0.0): (4.0, 0.0), (0.0, 0.0): (-1.0, 0.0)})
+    config = SolverConfig(rho=0.5)
+    _, obs = _collect(problem, "eg", config, x0=np.array([32.0, 0.0]))
+    assert [o.beta for o in obs] == [1.0, 1.0, 1.0, 0.5]
+    result = run_solver(problem, "eg", config, x0=np.array([32.0, 0.0]))
+    assert result.status is RunStatus.STEPSIZE_FAILURE
+    err = result.failure
+    assert err.product == -2.0
+    assert err.coordinate is None
+    assert err.iteration == 4
+    assert "<F(y), x - y>" in str(err)
+    np.testing.assert_array_equal(err.point, [2.0, 0.0])
+
+
+def test_beta_component_hand_value():
+    # F(x) = 2x on the line, l = 2, rho = 0.5, x0 = 1: F_i(x) = 2, y = 0.5,
+    # F_i(y) = 1, ||F(y)||^2 = 1  ->  beta = 0.5*1*2/(2*1) = 0.5, x1 = 0.5.
+    problem = AffineMonotoneProblem(np.array([[2.0]]))
+    config = SolverConfig(rho=0.5, max_iterations=1, tolerance=1e-12)
+    for method in ("gmini", "rmini", "wmax"):
+        _, obs = _collect(problem, method, config, x0=np.array([1.0]))
+        assert obs[0].selected_index == 0
+        assert obs[0].beta == 0.5
+        np.testing.assert_array_equal(obs[0].x_next, [0.5])
+
+
+def test_beta_component_zero_product_is_legal_degenerate_step():
+    config = SolverConfig(rho=0.5, max_iterations=1, tolerance=1e-12)
+    # F_i(y) = 0 with F(y) = (0, 1) != 0: greedy picks i = 0 (F_0(x) = 2),
+    # the probe y = (0, 0) zeroes F_0, and beta = 0 keeps the point.
+    problem = _TableMap(2, {(1.0, 0.0): (2.0, 0.0), (0.0, 0.0): (0.0, 1.0)})
+    _, obs = _collect(problem, "gmini", config, x0=np.array([1.0, 0.0]))
+    assert obs[0].selected_index == 0
+    np.testing.assert_array_equal(obs[0].f_y, [0.0, 1.0])
+    assert obs[0].beta == 0.0
+    np.testing.assert_array_equal(obs[0].x_next, [1.0, 0.0])
+    # F_i(x) = 0 on the drawn coordinate, F(y) = F(x) = (0, 1): beta = 0 again.
+    problem = _TableMap(2, {(1.0, 0.0): (0.0, 1.0)})
+    _, obs = _collect(
+        problem, "rmini", config, x0=np.array([1.0, 0.0]),
+        index_sampler=lambda gen, session: 0,
+    )
+    assert obs[0].selected_index == 0 and obs[0].selected_value == 0.0
+    assert obs[0].beta == 0.0
+    np.testing.assert_array_equal(obs[0].x_next, [1.0, 0.0])
+
+
+def test_beta_component_negative_product_fails():
+    # F(x) = x, l = 1, rho = 0.5 halves x0 = 2^18 seventeen times (beta = 1);
+    # at x_17 = 2 the probe lands on y = 1, where F_i(y) * F_i(x) = (-1) * 2 < 0.
+    problem = _TableMap(1, {(1.0,): (-1.0,)})
+    result = run_solver(problem, "gmini", SolverConfig(rho=0.5), x0=np.array([2.0**18]))
+    assert result.status is RunStatus.STEPSIZE_FAILURE
+    err = result.failure
+    assert err.product == -2.0
+    assert err.coordinate == 0
+    assert err.iteration == 17
+    assert "F_i(y) * F_i(x)" in str(err)
+    np.testing.assert_array_equal(err.point, [2.0])
+
+
 # ---------------------------------------------------------------------------
 # Coordinate sampling
 # ---------------------------------------------------------------------------
