@@ -11,6 +11,7 @@ whole run is reproducible from the spec alone.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Protocol
@@ -22,6 +23,7 @@ from ..core import (
     MonotoneMapping,
     STREAM_X0,
     _is_integer,
+    _is_real,
     seeded_generator,
 )
 from ..problems import (
@@ -201,6 +203,10 @@ class ExperimentSpec:
         object.__setattr__(self, "trials", int(self.trials))
         if self.x0_policy not in ("zeros", "gaussian"):
             raise ConfigurationError(f"unknown x0 policy {self.x0_policy!r}")
+        if not _is_real(self.x0_scale) or not 0 <= self.x0_scale < math.inf:  # also rejects NaN
+            raise ConfigurationError(
+                f"x0_scale must be a finite nonnegative number, got {self.x0_scale!r}"
+            )
 
 
 @dataclass

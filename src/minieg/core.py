@@ -52,6 +52,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number, and not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic random streams
 # ---------------------------------------------------------------------------
@@ -276,8 +281,15 @@ class EvaluationSession(ABC):
         """The current point. Treat as read-only; copy before storing."""
         return self._x
 
-    def set_point(self, x: np.ndarray) -> None:
-        """Move to ``x`` and rebuild the backend cache. Not charged."""
+    def set_point(self, x: np.ndarray, step: float | None = None) -> None:
+        """Move to ``x`` and rebuild the backend cache. Not charged.
+
+        ``step`` is an optional hint: the caller computed ``x`` as
+        ``anchor - step * F``, with ``anchor`` the point of the last
+        ``set_point`` (or of the opening) and ``F`` the last full read. A
+        backend may use it to update its cache instead of rebuilding, once
+        it has checked the claim; this one ignores it.
+        """
         x = self._problem._check_point(x)
         self._full = None
         self._x[:] = x

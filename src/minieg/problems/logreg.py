@@ -14,6 +14,13 @@ full evaluations and margin rebuilds are BLAS products, and a coordinate
 read or shift walks one contiguous row of ``N`` entries. Scipy-sparse input
 becomes CSR: products run scipy's sparse kernels, and a coordinate read or
 shift touches only the row's stored entries.
+
+With fewer samples than the design stores entries per sample (``N < n``
+dense, ``N * N < nnz`` sparse), the problem also keeps the sample-space Gram
+matrix ``K = A^T A`` (``N x N``, dense). The power iteration behind the
+global constant then runs on ``K``, and a session moved by an extragradient
+step updates its margins in ``O(N^2)`` instead of rebuilding them in
+``O(nN)`` (see :class:`LogRegSession`).
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ class LogRegProblem(MonotoneMapping):
     that does not converge raises :class:`ConfigurationError`. A coordinate read
     or shift costs one row of the feature matrix: ``N`` contiguous entries
     for dense input, the feature's stored entries for sparse input.
+
+    The sample-space Gram matrix ``K = A^T A`` is formed once, as a dense
+    ``N x N`` array, when it has fewer entries than ``A`` stores: ``N < n``
+    for dense input, ``N * N < nnz`` for sparse input. The power iteration
+    then multiplies by ``K`` alone, and sessions use it for their step
+    updates. Otherwise ``K`` is None and nothing changes.
     """
 
     def __init__(self, features, labels, *, reg: float = 0.1, spectral_seed: int = 0) -> None:
@@ -105,6 +118,11 @@ class LogRegProblem(MonotoneMapping):
         else:
             h = np.einsum("ij,ij->i", A, A)
         self._l = h / (4.0 * self._N) + self._reg
+        # K = A^T A (N x N), kept where it is smaller than A's stored entries.
+        self._K = None
+        if self._N * self._N < (A.nnz if self._sparse else A.size):
+            K = self._At @ A
+            self._K = K.toarray() if self._sparse else K
         self._spectral_seed = spectral_seed
         self._global_lipschitz: float | None = None
         self.lambda_setup = None  # SpectralEstimate once computed
@@ -131,7 +149,10 @@ class LogRegProblem(MonotoneMapping):
         if self._global_lipschitz is None:
             A, At = self._A, self._At
             # lambda_1(A A^T) == lambda_1(A^T A); iterate over the smaller side.
-            if self._N <= self._n:
+            if self._K is not None:
+                matvec = self._K.__matmul__
+                dim = self._N
+            elif self._N <= self._n:
                 matvec = lambda v: At @ (A @ v)
                 dim = self._N
             else:
@@ -157,16 +178,61 @@ class LogRegProblem(MonotoneMapping):
 
 _ALL_SAMPLES = slice(None)
 
+# A session with a Gram matrix rebuilds its margins exactly at every
+# _EXACT_EVERY-th step update, so the rounding of the O(N^2) updates between
+# them cannot pile up.
+_EXACT_EVERY = 64
+
 
 class LogRegSession(EvaluationSession):
-    """Caches margins and sample weights; coordinate moves cost one feature row."""
+    """Caches margins and sample weights; coordinate moves cost one feature row.
+
+    When the problem keeps ``K = A^T A``, ``set_point(x, step)`` updates the
+    margins in ``O(N^2)`` for the step ``x = anchor - step * F(current)``:
+    ``anchor`` is the point of the last ``set_point`` (or of the opening),
+    and ``F(current)`` the full read kept since the last move. Then
+
+        m(x) = m(anchor) - step * (b * (K w) + reg * m(current)),
+
+    with ``w`` the current sample weights. The session first checks that
+    ``x`` holds exactly the bytes of ``anchor - step * F(current)``, computed
+    as the solver loop computes it, so a point moved by anything else (a
+    projection that is not the identity, say) is rebuilt exactly. Every
+    ``_EXACT_EVERY``-th update in a row is an exact rebuild too.
+    """
 
     _problem: LogRegProblem
 
     def __init__(self, problem: LogRegProblem, x0: np.ndarray, ledger: CostLedger) -> None:
         self._f = np.empty(problem.dim)  # F(x); eval_full hands out copies
         self._ridge = np.empty(problem.dim)  # reg * x
+        if problem._K is not None:
+            self._anchor = np.empty(problem.dim)  # the point of the last set_point
+            self._updates = 0  # Gram updates since the last exact rebuild
         super().__init__(problem, x0, ledger)
+
+    def set_point(self, x: np.ndarray, step: float | None = None) -> None:
+        p = self._problem
+        if (step is None or p._K is None or self._full is None
+                or self._updates == _EXACT_EVERY - 1):
+            return super().set_point(x)
+        x = p._check_point(x)
+        # anchor - step * F, computed in place: the move drops the kept F
+        # either way, and a failed check rebuilds, which resets the anchor.
+        stepped = np.multiply(self._full, step, out=self._full)
+        np.subtract(self._anchor, stepped, out=self._anchor)
+        if self._anchor.tobytes() != x.tobytes():
+            return super().set_point(x)
+        self._full = None
+        np.copyto(self._x, self._anchor)
+        change = p._K @ self._w
+        change *= p._b
+        change += p._reg * self._m
+        change *= step
+        np.subtract(self._m_anchor, change, out=self._m_anchor)
+        self._m = self._m_anchor.copy()
+        self._w = -p._b * expit(-self._m) / p._N
+        self._updates += 1
 
     def _row(self, i: int):
         """Feature ``i`` as ``(sample indices, values)``; the indices are a slice when dense."""
@@ -180,6 +246,10 @@ class LogRegSession(EvaluationSession):
         p = self._problem
         self._m = p._b * (p._At @ self._x)
         self._w = -p._b * expit(-self._m) / p._N
+        if p._K is not None:
+            self._m_anchor = self._m.copy()
+            np.copyto(self._anchor, self._x)
+            self._updates = 0
 
     def _shift(self, i: int, delta: float) -> None:
         p = self._problem

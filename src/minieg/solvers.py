@@ -50,8 +50,13 @@ Every read, shift, rebuild, projection and draw goes through the public
 session methods (``eval_full``, ``eval_component``, ``shift_coordinate``,
 ``set_point``), the projection's ``__call__`` and the sampler, which the
 benchmark traces; only a fast-forward charges reads (its skipped full ones)
-without making them. The loop keeps ``x_k`` and ``x_k - beta F(y_k)`` in two
-vectors reused every iteration, and copies only what it reports.
+without making them. Each ``set_point`` the loop makes carries its step
+size as a hint (``set_point(x_k - beta F(y_k), beta)``, and eg's probe
+``set_point(y_k, rho/L)``), passed positionally so that wrappers forwarding
+``*args`` keep it; a session may use it to update its cache instead of
+rebuilding. The loop keeps ``x_k`` and ``x_k - beta F(y_k)`` in two vectors
+reused every iteration, builds eg's probe point in the second, and copies
+only what it reports.
 """
 
 from __future__ import annotations
@@ -72,6 +77,7 @@ from .core import (
     Projection,
     STREAM_SOLVER,
     _is_integer,
+    _is_real,
     seeded_generator,
 )
 
@@ -144,6 +150,10 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("rho", "gamma", "tolerance"):
+            value = getattr(self, name)
+            if not _is_real(value):  # a bool passes the range checks and exports as JSON true
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.rho < 1.0:
             raise ConfigurationError(f"rho must lie strictly in (0, 1), got {self.rho}")
         if not 0 <= self.gamma < math.inf:  # also rejects NaN
@@ -273,15 +283,17 @@ class _Run:
     gen: np.random.Generator
     sampler: IndexSampler | None
     scale: float | None  # eg's probe step rho / L
+    scratch: np.ndarray  # the loop's step vector, free while a probe runs
     reference: int | None = None  # wmax's remembered coordinate
     ahead: tuple[int, float] | None = None  # rmini's next (i, F_i(x)), read by a fast-forward
 
 
 def _probe_eg(run: _Run):
     """Full probe ``y = x - (rho/L) F(x)``: one full evaluation."""
-    session = run.session
+    session, y = run.session, run.scratch
     f_x = session.eval_full()
-    session.set_point(session.point - run.scale * f_x)
+    np.subtract(session.point, np.multiply(f_x, run.scale, out=y), out=y)
+    session.set_point(y, run.scale)
     return None, None, {"f_x": f_x}
 
 
@@ -453,13 +465,13 @@ def run_solver(
     _, probe, start = _METHODS[method]
     ledger = CostLedger(problem.dim)
     session = problem.open_session(x0, ledger)
-    run = _Run(session, seeded_generator(cfg.seed, STREAM_SOLVER), index_sampler, scale)
+    x, step = np.empty(problem.dim), np.empty(problem.dim)  # x_k and x_k - beta F(y_k)
+    run = _Run(session, seeded_generator(cfg.seed, STREAM_SOLVER), index_sampler, scale, step)
 
     rho, tolerance, last_k = cfg.rho, cfg.tolerance, cfg.max_iterations - 1
 
     status, iterations = RunStatus.ITERATION_CAP, cfg.max_iterations
     final_point = final_residual = failure = None
-    x, step = np.empty(problem.dim), np.empty(problem.dim)  # x_k and x_k - beta F(y_k)
 
     t0 = time.perf_counter()
     if start is not None and start(run):  # x_0 is an exact root: nothing to iterate
@@ -506,7 +518,7 @@ def run_solver(
             # An unmoved session still holds the rebuild of x's bytes, so a
             # zero step that keeps them needs no rebuild.
             if moved or beta != 0.0 or not _same_bytes(x_next, x):
-                session.set_point(x_next)
+                session.set_point(x_next, beta)  # positional, as wrappers forward *args
             elif fast_forward and _same_bytes(x + 0.0, x):
                 # x + 0.0 turns -0.0 into 0.0 and keeps every other byte. Without
                 # -0.0 in x, every later zero step computes x's bytes too.

@@ -35,7 +35,12 @@ from minieg.bench import (
     write_trials_csv,
 )
 from minieg.bench.runner import _make_x0
-from minieg.problems import build_cs_instance, save_instance, synthetic_logreg
+from minieg.problems import (
+    build_cs_instance,
+    save_instance,
+    skew_rotation_problem,
+    synthetic_logreg,
+)
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +115,21 @@ def test_spec_validation():
     assert spec.trials == 3 and type(spec.trials) is int
     with pytest.raises(ConfigurationError):
         ExperimentSpec(source=source, x0_policy="warm")
+
+
+@pytest.mark.parametrize("scale", [math.nan, math.inf, -1.0, -1e-300, True, "1"])
+def test_spec_rejects_an_unusable_start_scale(scale):
+    # The results schema types x0_scale as a number, so NaN, inf and bools
+    # could not be exported; a negative scale only mirrors the start.
+    source = SyntheticCSSource(n=8, n_measurements=4, sparsity=1)
+    with pytest.raises(ConfigurationError, match="x0_scale must be a finite nonnegative number"):
+        ExperimentSpec(source=source, x0_scale=scale)
+
+
+def test_spec_accepts_finite_nonnegative_start_scales():
+    source = SyntheticCSSource(n=8, n_measurements=4, sparsity=1)
+    for scale in (0, 0.0, 2.5, np.float64(3.0), np.int64(2)):
+        assert ExperimentSpec(source=source, x0_scale=scale).x0_scale == scale
 
 
 def test_reference_falls_back_to_the_first_method():
@@ -318,6 +338,20 @@ def test_source_descriptions_carry_their_kind(tmp_path):
         AffineSource(dim=4, flavor="hankel")
 
 
+def test_skew_affine_source_builds_one_shared_rotation():
+    source = AffineSource(dim=4, flavor="skew", seed=5)
+    assert not source.fresh_per_trial
+    problem = source.build(3)
+    np.testing.assert_array_equal(problem.matrix, skew_rotation_problem(4).matrix)
+    np.testing.assert_array_equal(problem.eval_full(np.array([1.0, 2.0, 3.0, 4.0])),
+                                  [2.0, -1.0, 4.0, -3.0])
+    result = run_experiment(ExperimentSpec(
+        source=source, methods=("eg", "gmini"), trials=2, config=SolverConfig(tolerance=1e-6),
+    ))
+    assert result.metadata["source"] == {"kind": "affine", "dim": 4, "flavor": "skew", "seed": 5}
+    assert [r.status for r in result.rows] == ["converged"] * 4
+
+
 def test_render_table_shows_methods_and_run_parameters(cs_result):
     text = render_table(cs_result)
     for token in ("EG", "G-Mini-EG", "R-Mini-EG", "Watchdog-Max"):
@@ -325,6 +359,38 @@ def test_render_table_shows_methods_and_run_parameters(cs_result):
     assert "trials=2" in text
     assert "rho=0.999" in text
     assert "speedup reference: EG" in text
+
+
+def test_render_table_notes_capped_and_failed_trials():
+    capped = run_experiment(ExperimentSpec(
+        source=AffineSource(dim=6), methods=("gmini",), trials=2,
+        config=SolverConfig(max_iterations=1),
+    ))
+    assert capped.aggregates["gmini"].capped == 2
+    row = render_table(capped).splitlines()[2]
+    assert row.startswith("G-Mini-EG") and "0/2 (2 capped)" in row
+    assert "1.0 +- 0.0" in row  # capped trials still count in the means
+
+    failed = run_experiment(ExperimentSpec(
+        source=FixedProblemSource(_SignFlipProblem(), label="sign-flip"),
+        methods=("gmini",), trials=2,
+    ))
+    cells = render_table(failed).splitlines()[2].split()
+    # Every mean is NaN without a kept trial, and shows as "-".
+    assert cells == ["G-Mini-EG", "0/2", "(2", "failed)", "-", "-", "-", "-", "-", "-"]
+
+
+def test_json_export_writes_non_finite_values_as_null():
+    failed = run_experiment(ExperimentSpec(
+        source=FixedProblemSource(_SignFlipProblem(), label="sign-flip"),
+        methods=("gmini",), trials=1,
+    ))
+    failed.rows[0].recovery_error = math.nan  # as a NaN final point would give
+    payload = result_to_jsonable(failed)
+    jsonschema.validate(payload, load_results_schema())
+    assert payload["trials"][0]["recovery_error"] is None
+    assert payload["aggregates"]["gmini"]["std_nf"] is None
+    assert payload["trials"][0]["nf"] == failed.rows[0].nf  # finite values pass through
 
 
 def test_csv_writer_matches_line_helper(cs_result, tmp_path):

@@ -47,6 +47,22 @@ def test_bench_json_file_validates_against_the_schema(tmp_path, capsys):
     assert payload["experiment"]["source"]["kind"] == "synthetic-cs"
 
 
+def test_bench_json_goes_to_stdout_and_validates_against_the_schema(capsys):
+    code = main([
+        "bench", "--affine", "6", "--method", "eg,gmini", "--trials", "2",
+        "--format", "json",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    payload = json.loads(captured.out)  # nothing but the document on stdout
+    jsonschema.validate(payload, load_results_schema())
+    assert payload["experiment"]["source"]["kind"] == "affine"
+    assert payload["experiment"]["methods"] == ["eg", "gmini"]
+    assert [(t["method"], t["trial"]) for t in payload["trials"]] == [
+        ("eg", 0), ("gmini", 0), ("eg", 1), ("gmini", 1),
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["table", "csv"])
 def test_bench_writes_tables_and_csv_files(fmt, tmp_path, capsys):
     out = tmp_path / f"result.{fmt}"

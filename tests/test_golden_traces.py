@@ -20,6 +20,12 @@ the ledger counts, status, iterations, residual and final-point bytes.
 They were captured from the per-step loop, before the fast-forward existed.
 The extra ``cs-desk-cap`` case stops R-Mini-EG on the desk instance at a
 cap that falls inside a run of null steps.
+
+``GRAM_GOLDEN`` and ``GRAM_RESULT_GOLDEN`` pin the same two digests on a
+design with fewer samples than features (20 and 60), where the problem keeps
+``K = A^T A`` and sessions update their margins through it after a step.
+Every other logistic-regression case has more samples than features and no
+``K``. These digests were captured from the Gram-update code itself.
 """
 
 import hashlib
@@ -106,6 +112,24 @@ RESULT_GOLDEN = {
 }
 
 
+def GRAM_CASE():
+    return synthetic_logreg(60, 20, seed=3)
+
+GRAM_GOLDEN = {
+    "eg": "ab3705640cece90478918fe9a0c56d48b3ee72f16471680d41daa5a8f8d17776",
+    "gmini": "09669690e3e2d40c3cf27cc4a50a3a1b0338a78dea81cf5f59ff9984275b8b84",
+    "rmini": "369225760437e0d6ebb05d5a90ec88116dff6fc9e6eb9f396928cca19a9e2bd1",
+    "wmax": "cea1c93fac14ac36562089b7b6203bac2c59e7777fbb0074c242dd74ebca0ac1",
+}
+
+GRAM_RESULT_GOLDEN = {
+    "eg": "1a223c485e5874a11d2e096a8fd0eef792180e3972d5c531525f3276c56add49",
+    "gmini": "9a2d501de6321870a788206101045f0974667c3abef5629094a7ead44990309d",
+    "rmini": "f1f95c160042944fb7c90db2cafd99251a9ee7cb6bb4600dfaa359e45fe33391",
+    "wmax": "a39ea6fbdf589a30b4e5487a8a1b275fc0e4791ae525572b06059f4c27b39887",
+}
+
+
 def _feed(digest, value) -> None:
     if value is None:
         digest.update(b"N;")
@@ -178,3 +202,15 @@ def test_golden_result_without_callback(method, backend):
 def test_golden_result_at_a_cap_inside_a_null_run():
     build, config = DESK_CAP_CASE
     assert result_digest(build(), "rmini", config=config) == RESULT_GOLDEN["rmini", "cs-desk-cap"]
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_golden_trace_with_a_gram_matrix(method):
+    problem = GRAM_CASE()
+    assert problem._K is not None
+    assert run_digest(problem, method, None) == GRAM_GOLDEN[method]
+
+
+@pytest.mark.parametrize("method", METHOD_IDS)
+def test_golden_result_with_a_gram_matrix(method):
+    assert result_digest(GRAM_CASE(), method) == GRAM_RESULT_GOLDEN[method]

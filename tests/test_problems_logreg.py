@@ -8,7 +8,13 @@ from property_checks import sparse_twin
 
 from minieg import ConfigurationError, SolverConfig, run_solver, seeded_generator
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
-from minieg.problems import LogRegProblem, SpectralEstimate, logreg, synthetic_logreg
+from minieg.problems import (
+    LogRegProblem,
+    SpectralEstimate,
+    estimate_lambda_max,
+    logreg,
+    synthetic_logreg,
+)
 
 
 def test_hand_computed_constants_and_gradient_at_zero():
@@ -172,3 +178,44 @@ def test_dense_and_sparse_layouts_take_the_same_solver_path():
         assert a.ledger.nf_exact() == b.ledger.nf_exact()
         gap = np.linalg.norm(a.final_point - b.final_point)
         assert gap <= 1e-8 * np.linalg.norm(b.final_point), (method, gap)
+
+
+@pytest.mark.parametrize("n_features, n_samples", [(60, 20), (21, 20), (20, 20), (20, 60)])
+def test_dense_and_sparse_layouts_form_the_gram_matrix_under_one_rule(n_features, n_samples):
+    # K = A^T A is kept when it has fewer entries than A stores. A dense
+    # design stores all n * N entries, so the rule reads N < n.
+    dense = synthetic_logreg(n_features, n_samples, seed=2)
+    sparse = sparse_twin(dense)
+    assert sparse._A.nnz == n_features * n_samples  # no zero entries to drop
+    assert (dense._K is None) == (sparse._K is None) == (n_samples >= n_features)
+    if dense._K is not None:
+        X = dense._A.T
+        assert isinstance(sparse._K, np.ndarray) and sparse._K.shape == (n_samples, n_samples)
+        np.testing.assert_allclose(dense._K, X @ X.T, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(sparse._K, dense._K, rtol=1e-13, atol=1e-13)
+
+
+def test_a_sparse_design_keeps_the_gram_matrix_only_above_n_squared_entries():
+    # Ten samples, two hundred features: K has 100 entries.
+    gen = seeded_generator(8, STREAM_INSTANCE)
+    labels = np.where(gen.random(10) < 0.5, -1.0, 1.0)
+    for per_sample, kept in ((10, False), (11, True)):
+        X = np.zeros((10, 200))
+        for s in range(10):
+            X[s, gen.choice(200, per_sample, replace=False)] = gen.uniform(0.5, 1.0, per_sample)
+        sparse = LogRegProblem(sp.csr_matrix(X), labels)
+        assert sparse._A.nnz == 10 * per_sample
+        assert (sparse._K is not None) == kept
+        assert LogRegProblem(X, labels)._K is not None  # 2 000 dense entries
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_gram_power_iteration_matches_the_product_one(seed):
+    problem = synthetic_logreg(2000, 62, seed=seed)
+    A, At = problem._A, problem._At
+    products = estimate_lambda_max(lambda v: At @ (A @ v), problem.n_samples, seed=seed)
+    problem.ensure_global_lipschitz()
+    gram = problem.lambda_setup
+    assert gram.converged and products.converged
+    assert gram.iterations == products.iterations
+    assert abs(gram.value - products.value) <= 1e-12 * products.value

@@ -17,6 +17,7 @@ from minieg.problems import (
     AffineMonotoneProblem,
     LogRegProblem,
     build_cs_instance,
+    logreg,
     random_spd_affine,
     synthetic_logreg,
 )
@@ -275,3 +276,96 @@ def test_set_point_after_a_shift_rebuilds(name):
         np.testing.assert_allclose(
             session.eval_full(), problem.eval_full(shifted), rtol=0.0, atol=1e-12
         )
+
+
+# -- the Gram-matrix step update of logistic regression ------------------------
+
+# Twenty samples, sixty features: both layouts keep K = A^T A.
+GRAM_LAYOUTS = {
+    "dense": lambda: synthetic_logreg(60, 20, seed=3),
+    "sparse": lambda: sparse_twin(synthetic_logreg(60, 20, seed=3)),
+}
+
+
+def _hinted_step(session, gen, anchor, shift):
+    """Move as the solver loop does: an optional coordinate probe, a full read,
+    then ``x_next = anchor - beta * F`` handed over with its step size."""
+    problem = session.problem
+    l = problem.componentwise_lipschitz
+    if shift:
+        i = int(gen.integers(0, problem.dim))
+        session.shift_coordinate(i, -0.5 * session.eval_component(i) / l[i])
+    f = session.eval_full()
+    beta = float(gen.uniform(0.5, 1.0)) / l.max()
+    x_next = anchor - np.multiply(f, beta)
+    session.set_point(x_next, beta)
+    return x_next
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_gram_updates_stay_close_and_every_rth_one_rebuilds_exactly(layout):
+    problem = GRAM_LAYOUTS[layout]()
+    assert problem._K is not None
+    every = logreg._EXACT_EVERY
+    gen = seeded_generator(21, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    anchor = session.point.copy()
+    for k in range(every - 1):  # coordinate steps and full (eg-like) steps
+        anchor = _hinted_step(session, gen, anchor, shift=k % 3 != 0)
+        assert session.point.tobytes() == anchor.tobytes()
+    assert rebuilds == []  # each of them took the Gram update
+    exact = problem._b * (problem._At @ session.point)
+    assert np.linalg.norm(session._m - exact) <= 1e-12 * np.linalg.norm(exact)
+    np.testing.assert_allclose(session.eval_full(), problem.eval_full(session.point),
+                               rtol=0.0, atol=1e-13)
+
+    anchor = _hinted_step(session, gen, anchor, shift=True)  # the R-th update
+    assert len(rebuilds) == 1
+    fresh = problem.open_session(anchor, CostLedger(problem.dim))
+    assert session._m.tobytes() == fresh._m.tobytes()
+    assert session.eval_full().tobytes() == fresh.eval_full().tobytes()
+    _hinted_step(session, gen, anchor, shift=True)  # the count starts again
+    assert len(rebuilds) == 1
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_a_hint_that_does_not_match_the_point_rebuilds_exactly(layout):
+    problem = GRAM_LAYOUTS[layout]()
+    gen = seeded_generator(22, STREAM_SOLVER)
+    x0 = gen.standard_normal(problem.dim)
+    session = problem.open_session(x0, CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    f = session.eval_full()
+    beta = 0.25 / problem.componentwise_lipschitz.max()
+    x_next = x0 - f * beta
+    x_next[7] = np.nextafter(x_next[7], np.inf)  # one ulp off anchor - beta * F
+    session.set_point(x_next, beta)
+    assert len(rebuilds) == 1
+    fresh = problem.open_session(x_next, CostLedger(problem.dim))
+    assert session._m.tobytes() == fresh._m.tobytes()
+    assert session.eval_full().tobytes() == fresh.eval_full().tobytes()
+
+    # Without a full read kept since the last move there is nothing to step from.
+    session.shift_coordinate(3, 0.5)
+    session.set_point(session.point - f * beta, beta)
+    assert len(rebuilds) == 2
+    # The anchor is the point of the last set_point, not the shifted one.
+    session.eval_full()
+    session.shift_coordinate(3, 0.5)
+    g = session.eval_full()
+    session.set_point(session.point - g * beta, beta)
+    assert len(rebuilds) == 3
+
+
+@pytest.mark.parametrize("name", ["affine", "cs"])
+def test_other_backends_ignore_the_step_hint(name):
+    problem = BACKENDS[name]()
+    x = np.abs(seeded_generator(23, STREAM_SOLVER).standard_normal(problem.dim))
+    plain = problem.open_session(np.zeros(problem.dim), CostLedger(problem.dim))
+    hinted = problem.open_session(np.zeros(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(hinted)
+    plain.set_point(x)
+    hinted.set_point(x, 0.5)
+    assert len(rebuilds) == 1
+    assert hinted.eval_full().tobytes() == plain.eval_full().tobytes()

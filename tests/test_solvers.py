@@ -983,6 +983,15 @@ def test_config_validation():
     assert type(config.max_iterations) is int and type(config.seed) is int
 
 
+@pytest.mark.parametrize("name", ["rho", "gamma", "tolerance"])
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.5", None])
+def test_config_rejects_real_knobs_that_are_no_numbers(name, value):
+    # A bool passed the range checks (True == 1) and exported as JSON true,
+    # which the results schema rejects.
+    with pytest.raises(ConfigurationError, match=f"{name} must be a real number"):
+        SolverConfig(**{name: value})
+
+
 def test_method_registry():
     assert METHOD_IDS == ("eg", "gmini", "rmini", "wmax")
     names = [method_display_name(m) for m in METHOD_IDS]
