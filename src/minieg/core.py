@@ -286,9 +286,10 @@ class EvaluationSession(ABC):
 
         ``step`` is an optional hint: the caller computed ``x`` as
         ``anchor - step * F``, with ``anchor`` the point of the last
-        ``set_point`` (or of the opening) and ``F`` the last full read. A
-        backend may use it to update its cache instead of rebuilding, once
-        it has checked the claim; this one ignores it.
+        ``set_point`` or of the one before it (the opening counts as one)
+        and ``F`` the last full read. A backend may use it to update its
+        cache instead of rebuilding, once it has checked the claim; this one
+        ignores it.
         """
         x = self._problem._check_point(x)
         self._full = None

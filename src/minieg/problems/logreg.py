@@ -4,9 +4,11 @@ The map is the gradient of the (strongly convex) regularized log-loss
 
     F(x) = (1/N) * sum_s  -b_s * sigmoid(-b_s <a_s, x>) * a_s  +  reg * x,
 
-so its roots are the training optima. Sessions cache the per-sample margins
-``m_s = b_s <a_s, x>``; a single-coordinate move touches only the samples in
-which that feature occurs.
+so its roots are the training optima. Sessions cache the unsigned
+per-sample margins ``z_s = <a_s, x>``; a single-coordinate move touches only
+the samples in which that feature occurs. The labels are +-1, so the signed
+margins ``b_s z_s`` and every weight built from them come out exactly as if
+those were cached.
 
 The features are stored feature-major, one row per feature, in the layout
 the input arrived in. Dense input becomes one C-contiguous ``(n, N)`` array:
@@ -18,9 +20,11 @@ shift touches only the row's stored entries.
 With fewer samples than the design stores entries per sample (``N < n``
 dense, ``N * N < nnz`` sparse), the problem also keeps the sample-space Gram
 matrix ``K = A^T A`` (``N x N``, dense). The power iteration behind the
-global constant then runs on ``K``, and a session moved by an extragradient
-step updates its margins in ``O(N^2)`` instead of rebuilding them in
-``O(nN)`` (see :class:`LogRegSession`).
+global constant then runs on ``K``, and a session moved by a solver step
+updates its margins in ``O(N^2)`` instead of rebuilding them in ``O(nN)``.
+It keeps the points of its last two moves for that: a coordinate step and
+an extragradient probe start from the last, an extragradient step from the
+one before (see :class:`LogRegSession`).
 """
 
 from __future__ import annotations
@@ -111,6 +115,8 @@ class LogRegProblem(MonotoneMapping):
         self._n, self._N = A.shape
         if self._n == 0 or self._N == 0:
             raise ConfigurationError("need at least one feature and one sample")
+        self._nb = -labels  # -b and -b * N, for the sample weights
+        self._nb_n = self._nb * self._N
 
         # Per-feature squared norms.
         if self._sparse:
@@ -168,8 +174,7 @@ class LogRegProblem(MonotoneMapping):
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)
-        m = self._b * (self._At @ x)
-        w = -self._b * expit(-m) / self._N
+        w = _sample_weights(self._At @ x, self._nb, self._nb_n)
         return self._A @ w + self._reg * x
 
     def open_session(self, x0: np.ndarray, ledger: CostLedger) -> "LogRegSession":
@@ -184,32 +189,68 @@ _ALL_SAMPLES = slice(None)
 _EXACT_EVERY = 64
 
 
+def _sample_weights(z, nb, nb_n, out=None):
+    """The sample weights ``w = -b * expit(-b * z) / N``, given ``nb = -b`` and ``nb_n = -b * N``.
+
+    The labels are +-1, so ``-b * z`` is exact and dividing by ``-b * N``
+    flips the sign of a correctly rounded quotient: the result has the bits
+    of ``-b * expit(-m) / N`` with ``m = b * z``.
+    """
+    w = np.multiply(nb, z, out=out)
+    expit(w, out=w)
+    return np.divide(w, nb_n, out=w)
+
+
 class LogRegSession(EvaluationSession):
     """Caches margins and sample weights; coordinate moves cost one feature row.
 
-    When the problem keeps ``K = A^T A``, ``set_point(x, step)`` updates the
-    margins in ``O(N^2)`` for the step ``x = anchor - step * F(current)``:
-    ``anchor`` is the point of the last ``set_point`` (or of the opening),
-    and ``F(current)`` the full read kept since the last move. Then
+    The session keeps the unsigned margins ``z = A^T x`` and the weights
+    ``w = -b * expit(-b * z) / N``. The labels are +-1, so ``b * z``,
+    ``-b * z`` and ``b * (v * delta)`` are exact and rounding is symmetric in
+    sign: the weights, ``F`` and every trace have the bits they would have
+    with signed margins ``m = b * z`` cached instead (``_m`` reads them).
 
-        m(x) = m(anchor) - step * (b * (K w) + reg * m(current)),
+    When the problem keeps ``K = A^T A``, the session also keeps two anchors
+    with their margins: the point of the last ``set_point`` (or of the
+    opening) and the one before it, dropped by an exact rebuild.
+    ``set_point(x, step)`` then updates the margins in ``O(N^2)`` for the
+    step ``x = anchor - step * F(current)``, with ``F(current)`` the full read
+    kept since the last move:
+
+        z(x) = z(anchor) - step * (K w + reg * z(current)),
 
     with ``w`` the current sample weights. The session first checks that
-    ``x`` holds exactly the bytes of ``anchor - step * F(current)``, computed
-    as the solver loop computes it, so a point moved by anything else (a
-    projection that is not the identity, say) is rebuilt exactly. Every
-    ``_EXACT_EVERY``-th update in a row is an exact rebuild too.
+    ``x`` holds exactly the bytes of ``anchor - step * F(current)`` for the
+    last anchor, then for the one before, computed as the solver loop
+    computes it; a coordinate step matches the last anchor, and an
+    extragradient step ``x_k - beta * F(y_k)`` the one before, its probe
+    point ``y_k`` being the last. A point moved by anything else (a
+    projection that is not the identity, say) is rebuilt exactly, and so is
+    every ``_EXACT_EVERY``-th update in a row. After an update the last
+    anchor becomes the one before, and ``x`` the last.
     """
 
     _problem: LogRegProblem
 
     def __init__(self, problem: LogRegProblem, x0: np.ndarray, ledger: CostLedger) -> None:
-        self._f = np.empty(problem.dim)  # F(x); eval_full hands out copies
-        self._ridge = np.empty(problem.dim)  # reg * x
+        n, N = problem.dim, problem.n_samples
+        self._f = np.empty(n)  # F(x); eval_full hands out copies
+        self._ridge = np.empty(n)  # reg * x
+        self._z = np.empty(N)  # A^T x
+        self._w = np.empty(N)
+        self._scratch = np.empty(N)
         if problem._K is not None:
-            self._anchor = np.empty(problem.dim)  # the point of the last set_point
+            # The last anchor, the one before it and a free buffer, with margins.
+            self._anchor, self._previous, self._candidate = np.empty((3, n))
+            self._z_anchor, self._z_previous, self._change = np.empty((3, N))
+            self._has_previous = False
             self._updates = 0  # Gram updates since the last exact rebuild
         super().__init__(problem, x0, ledger)
+
+    @property
+    def _m(self) -> np.ndarray:
+        """The signed margins ``b * z``."""
+        return self._problem._b * self._z
 
     def set_point(self, x: np.ndarray, step: float | None = None) -> None:
         p = self._problem
@@ -217,21 +258,32 @@ class LogRegSession(EvaluationSession):
                 or self._updates == _EXACT_EVERY - 1):
             return super().set_point(x)
         x = p._check_point(x)
-        # anchor - step * F, computed in place: the move drops the kept F
-        # either way, and a failed check rebuilds, which resets the anchor.
+        # anchor - step * F: the move drops the kept F either way, and a
+        # failed check rebuilds, so F's buffer holds step * F.
         stepped = np.multiply(self._full, step, out=self._full)
-        np.subtract(self._anchor, stepped, out=self._anchor)
-        if self._anchor.tobytes() != x.tobytes():
+        candidate = np.subtract(self._anchor, stepped, out=self._candidate)
+        target = x.tobytes()
+        if candidate.tobytes() == target:
+            z_from = self._z_anchor
+        elif (self._has_previous
+              and np.subtract(self._previous, stepped, out=candidate).tobytes() == target):
+            z_from = self._z_previous
+        else:
             return super().set_point(x)
         self._full = None
-        np.copyto(self._x, self._anchor)
-        change = p._K @ self._w
-        change *= p._b
-        change += p._reg * self._m
-        change *= step
-        np.subtract(self._m_anchor, change, out=self._m_anchor)
-        self._m = self._m_anchor.copy()
-        self._w = -p._b * expit(-self._m) / p._N
+        np.copyto(self._x, candidate)
+        change = np.matmul(p._K, self._w, out=self._change)
+        np.add(change, np.multiply(self._z, p._reg, out=self._scratch), out=change)
+        np.multiply(change, step, out=change)
+        np.subtract(z_from, change, out=self._z)
+        _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
+        # The last anchor becomes the one before, x the last; the buffers of
+        # the one before are free, whichever anchor x stepped from.
+        free = self._z_previous
+        np.copyto(free, self._z)
+        self._z_previous, self._z_anchor = self._z_anchor, free
+        self._previous, self._anchor, self._candidate = self._anchor, candidate, self._previous
+        self._has_previous = True
         self._updates += 1
 
     def _row(self, i: int):
@@ -244,11 +296,15 @@ class LogRegSession(EvaluationSession):
 
     def _rebuild(self) -> None:
         p = self._problem
-        self._m = p._b * (p._At @ self._x)
-        self._w = -p._b * expit(-self._m) / p._N
+        if p._sparse:
+            np.copyto(self._z, p._At @ self._x)
+        else:
+            np.matmul(p._At, self._x, out=self._z)
+        _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
         if p._K is not None:
-            self._m_anchor = self._m.copy()
             np.copyto(self._anchor, self._x)
+            np.copyto(self._z_anchor, self._z)
+            self._has_previous = False
             self._updates = 0
 
     def _shift(self, i: int, delta: float) -> None:
@@ -256,9 +312,13 @@ class LogRegSession(EvaluationSession):
         idx, values = self._row(i)
         if values.size == 0:
             return
-        b_idx = p._b[idx]
-        self._m[idx] += b_idx * values * delta
-        self._w[idx] = -b_idx * expit(-self._m[idx]) / p._N
+        if p._sparse:
+            z = self._z[idx] + values * delta
+            self._z[idx] = z
+            self._w[idx] = _sample_weights(z, p._nb[idx], p._nb_n[idx], out=z)
+        else:
+            np.add(self._z, np.multiply(values, delta, out=self._scratch), out=self._z)
+            _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
 
     def _compute_full(self) -> np.ndarray:
         p = self._problem

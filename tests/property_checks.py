@@ -75,6 +75,32 @@ def check_monotone(problem, pairs=1000, seed=0, slack=1e-9):
     return worst
 
 
+def check_global_lipschitz(problem, bound, sharp, pairs=500, seed=0, slack=1e-9):
+    """||F(a) - F(b)|| <= bound * ||a - b|| over sampled pairs; returns the largest ratio.
+
+    Half the pairs are random points at varied scales. The other half start
+    from a random point and step along ``sharp = (base, direction)``: the
+    second point is ``base + t * direction`` with ``t`` from ``1e-3`` to 1,
+    so a direction where the map is steepest shows how tight ``bound`` is.
+    """
+    gen = seeded_generator(seed, STREAM_SOLVER)
+    n = problem.dim
+    base, direction = sharp
+    worst = 0.0
+    for k in range(pairs):
+        if k % 2:
+            a = base
+            b = base + 10.0 ** gen.uniform(-3.0, 0.0) * direction
+        else:
+            a = gen.standard_normal(n) * 10.0 ** gen.uniform(-1.0, 1.0)
+            b = gen.standard_normal(n) * 10.0 ** gen.uniform(-1.0, 1.0)
+        ratio = float(np.linalg.norm(problem.eval_full(a) - problem.eval_full(b))
+                      / np.linalg.norm(a - b))
+        assert ratio <= bound * (1.0 + slack), (k, ratio, bound)
+        worst = max(worst, ratio)
+    return worst
+
+
 def check_logreg_gradient(features, labels, reg=0.1, points=20, seed=0,
                           h=1e-6, rel=1e-5):
     """Central finite differences of the regularized logistic loss match F."""

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from property_checks import sparse_twin
+from test_sessions import _count_rebuilds
 
 from minieg import ConfigurationError, SolverConfig, run_solver, seeded_generator
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
@@ -219,3 +220,42 @@ def test_the_gram_power_iteration_matches_the_product_one(seed):
     assert gram.converged and products.converged
     assert gram.iterations == products.iterations
     assert abs(gram.value - products.value) <= 1e-12 * products.value
+
+
+@pytest.mark.parametrize("shape, seed, tolerance", [
+    ((60, 20), 3, 1e-8), ((2000, 62), 0, 1e-4), ((2000, 62), 1, 1e-4), ((2000, 62), 2, 1e-4),
+])
+def test_eg_through_the_gram_matrix_matches_exact_rebuilds(shape, seed, tolerance):
+    # The same problem with K dropped after the global constant is set:
+    # every set_point of that run is an exact rebuild.
+    gram = synthetic_logreg(*shape, seed=seed)
+    plain = synthetic_logreg(*shape, seed=seed)
+    plain.ensure_global_lipschitz()
+    plain._K = None
+    assert gram._K is not None
+    config = SolverConfig(tolerance=tolerance)
+    a, b = run_solver(gram, "eg", config), run_solver(plain, "eg", config)
+    assert a.status == b.status and a.converged
+    assert a.iterations == b.iterations
+    assert a.ledger.nf_exact() == b.ledger.nf_exact()
+    gap = np.linalg.norm(a.final_point - b.final_point)
+    assert gap <= 1e-12 * np.linalg.norm(b.final_point)
+
+
+def test_an_eg_solve_rebuilds_only_for_the_periodic_exact_update():
+    problem = synthetic_logreg(2000, 62, seed=0)
+    rebuilds = []
+    open_session = problem.open_session
+
+    def open_counted(x0, ledger):
+        session = open_session(x0, ledger)
+        rebuilds.append(_count_rebuilds(session))  # counts after the opening
+        return session
+
+    problem.open_session = open_counted
+    result = run_solver(problem, "eg", SolverConfig(tolerance=1e-4))
+    assert result.iterations == 35
+    # 35 probes and 34 steps move the session. The probe takes the update
+    # from the last anchor, the step from the one before; only the 64th move
+    # in a row is an exact rebuild.
+    assert len(rebuilds[0]) == 1

@@ -6,6 +6,7 @@ import pytest
 from property_checks import (
     check_componentwise_lipschitz,
     check_cs_dense_equivalence,
+    check_global_lipschitz,
     check_logreg_gradient,
     check_monotone,
     check_projection_nonexpansive,
@@ -73,3 +74,33 @@ def test_watchdog_selected_coordinate_dominates():
         SolverConfig(max_iterations=100_000),
     )
     assert result.converged
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_desk_secant_slopes_stay_under_both_global_constants(seed):
+    # F(z) = min(z, Hz + c) is Lipschitz with sqrt(1 + ||H||^2): min is
+    # 1-Lipschitz in the max-norm, so ||dF||^2 <= ||dz||^2 + ||H dz||^2.
+    # The shipped constant sqrt(2n) * 1.01 * ||H|| is looser still.
+    problem = build_cs_instance(256, 64, 8, snr_db=20.0, seed=seed)
+    A = problem.sensing
+    eigenvalues, eigenvectors = np.linalg.eigh(A.T @ A)
+    norm_h = 2.0 * eigenvalues[-1]  # the spectrum of H is {0} and twice that of B
+    tight = np.sqrt(1.0 + (1.01 * norm_h) ** 2)
+    # Far inside the orthant, z > Hz + c along H's top eigenvector [e; -e],
+    # so F is affine there and the secant slope reads ||H||.
+    top = np.concatenate([eigenvectors[:, -1], -eigenvectors[:, -1]]) / np.sqrt(2.0)
+    base = np.full(problem.dim, 10.0 * (norm_h + np.abs(problem.eval_full(np.zeros(problem.dim))).max()))
+    assert tight < problem.ensure_global_lipschitz()
+    worst = check_global_lipschitz(problem, tight, (base, top), seed=seed)
+    assert worst >= 0.99 * norm_h  # the sharp pairs reach ||H||
+
+
+def test_logreg_secant_slopes_stay_under_the_global_constant():
+    # Near the origin F is nearly affine with slope A A^T / (4N) + reg, so
+    # its top eigenvector gives secant slopes close to lambda_1 / (4N) + reg.
+    problem = synthetic_logreg(2000, 62, seed=0)
+    left, singular, _ = np.linalg.svd(problem._A, full_matrices=False)
+    steepest = singular[0] ** 2 / (4.0 * problem.n_samples) + problem.reg
+    worst = check_global_lipschitz(problem, problem.ensure_global_lipschitz(),
+                                   (np.zeros(problem.dim), left[:, 0]), seed=2)
+    assert worst >= 0.95 * steepest

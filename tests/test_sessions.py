@@ -358,6 +358,87 @@ def test_a_hint_that_does_not_match_the_point_rebuilds_exactly(layout):
     assert len(rebuilds) == 3
 
 
+def _eg_pair(session, gen, x):
+    """Move as eg does from the anchor ``x``: the probe ``y = x - s * F(x)``, a
+    full read at ``y``, then the step ``x - beta * F(y)`` from the anchor
+    before the last one."""
+    l_max = session.problem.componentwise_lipschitz.max()
+    scale = 0.5 / l_max
+    session.set_point(x - np.multiply(session.eval_full(), scale), scale)
+    beta = float(gen.uniform(0.5, 1.0)) / l_max
+    x_next = x - np.multiply(session.eval_full(), beta)
+    session.set_point(x_next, beta)
+    return x_next
+
+
+def _assert_rebuilt_exactly(session, x):
+    fresh = session.problem.open_session(x, CostLedger(session.problem.dim))
+    assert session._m.tobytes() == fresh._m.tobytes()
+    assert session.eval_full().tobytes() == fresh.eval_full().tobytes()
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_eg_pairs_take_the_gram_update_from_either_anchor(layout):
+    problem = GRAM_LAYOUTS[layout]()
+    gen = seeded_generator(24, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    anchor = session.point.copy()
+    for _ in range((logreg._EXACT_EVERY - 1) // 3):  # two updates per pair, one per coordinate step
+        anchor = _eg_pair(session, gen, anchor)
+        assert session.point.tobytes() == anchor.tobytes()
+        anchor = _hinted_step(session, gen, anchor, shift=True)
+    assert rebuilds == []  # every probe and every step took the Gram update
+    exact = problem._b * (problem._At @ session.point)
+    assert np.linalg.norm(session._m - exact) <= 1e-12 * np.linalg.norm(exact)
+    np.testing.assert_allclose(session.eval_full(), problem.eval_full(session.point),
+                               rtol=0.0, atol=1e-13)
+
+    # The probe would be the 64th update in a row, so it rebuilds exactly. That
+    # drops the anchor before it, and the step from there rebuilds too.
+    anchor = _eg_pair(session, gen, anchor)
+    assert len(rebuilds) == 2
+    _assert_rebuilt_exactly(session, anchor)
+    _eg_pair(session, gen, anchor)  # the count starts again
+    assert len(rebuilds) == 2
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_a_step_from_an_anchor_the_session_no_longer_keeps_rebuilds(layout):
+    problem = GRAM_LAYOUTS[layout]()
+    gen = seeded_generator(25, STREAM_SOLVER)
+    x0 = gen.standard_normal(problem.dim)
+    session = problem.open_session(x0, CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    beta = 0.25 / problem.componentwise_lipschitz.max()
+
+    # An exact rebuild keeps no anchor before its own.
+    y = x0 - np.multiply(session.eval_full(), beta)
+    session.set_point(y)  # no hint: an exact rebuild
+    x1 = x0 - np.multiply(session.eval_full(), beta)
+    session.set_point(x1, beta)  # from x0, the anchor before the rebuild
+    assert len(rebuilds) == 2
+    _assert_rebuilt_exactly(session, x1)
+
+    # Two anchors back is one too many.
+    _eg_pair(session, gen, x1)
+    assert len(rebuilds) == 2
+    x3 = x1 - np.multiply(session.eval_full(), beta)  # x1 is two anchors back
+    session.set_point(x3, beta)
+    assert len(rebuilds) == 3
+    _assert_rebuilt_exactly(session, x3)
+
+    # One ulp off previous - beta * F.
+    y = x3 - np.multiply(session.eval_full(), beta)
+    session.set_point(y, beta)
+    assert len(rebuilds) == 3  # the probe took the update
+    x4 = x3 - np.multiply(session.eval_full(), beta)
+    x4[7] = np.nextafter(x4[7], np.inf)
+    session.set_point(x4, beta)
+    assert len(rebuilds) == 4
+    _assert_rebuilt_exactly(session, x4)
+
+
 @pytest.mark.parametrize("name", ["affine", "cs"])
 def test_other_backends_ignore_the_step_hint(name):
     problem = BACKENDS[name]()
