@@ -78,10 +78,10 @@ def check_monotone(problem, pairs=1000, seed=0, slack=1e-9):
 def check_global_lipschitz(problem, bound, sharp, pairs=500, seed=0, slack=1e-9):
     """||F(a) - F(b)|| <= bound * ||a - b|| over sampled pairs; returns the largest ratio.
 
-    Half the pairs are random points at varied scales. The other half start
-    from a random point and step along ``sharp = (base, direction)``: the
-    second point is ``base + t * direction`` with ``t`` from ``1e-3`` to 1,
-    so a direction where the map is steepest shows how tight ``bound`` is.
+    Half the pairs are random points at varied scales. The other half pair
+    ``base`` with ``base + t * direction``, ``(base, direction) = sharp``
+    and ``t`` from ``1e-3`` to 1, so a direction where the map is steepest
+    shows how tight ``bound`` is.
     """
     gen = seeded_generator(seed, STREAM_SOLVER)
     n = problem.dim

@@ -89,7 +89,8 @@ def test_desk_secant_slopes_stay_under_both_global_constants(seed):
     # Far inside the orthant, z > Hz + c along H's top eigenvector [e; -e],
     # so F is affine there and the secant slope reads ||H||.
     top = np.concatenate([eigenvectors[:, -1], -eigenvectors[:, -1]]) / np.sqrt(2.0)
-    base = np.full(problem.dim, 10.0 * (norm_h + np.abs(problem.eval_full(np.zeros(problem.dim))).max()))
+    c = np.concatenate([problem._c_top, problem._c_bot])
+    base = np.full(problem.dim, 10.0 * (norm_h + np.abs(c).max()))
     assert tight < problem.ensure_global_lipschitz()
     worst = check_global_lipschitz(problem, tight, (base, top), seed=seed)
     assert worst >= 0.99 * norm_h  # the sharp pairs reach ||H||

@@ -423,20 +423,20 @@ def test_a_step_from_an_anchor_the_session_no_longer_keeps_rebuilds(layout):
     # Two anchors back is one too many.
     _eg_pair(session, gen, x1)
     assert len(rebuilds) == 2
-    x3 = x1 - np.multiply(session.eval_full(), beta)  # x1 is two anchors back
-    session.set_point(x3, beta)
+    x2 = x1 - np.multiply(session.eval_full(), beta)  # x1 is two anchors back
+    session.set_point(x2, beta)
     assert len(rebuilds) == 3
-    _assert_rebuilt_exactly(session, x3)
+    _assert_rebuilt_exactly(session, x2)
 
     # One ulp off previous - beta * F.
-    y = x3 - np.multiply(session.eval_full(), beta)
+    y = x2 - np.multiply(session.eval_full(), beta)
     session.set_point(y, beta)
     assert len(rebuilds) == 3  # the probe took the update
-    x4 = x3 - np.multiply(session.eval_full(), beta)
-    x4[7] = np.nextafter(x4[7], np.inf)
-    session.set_point(x4, beta)
+    x3 = x2 - np.multiply(session.eval_full(), beta)
+    x3[7] = np.nextafter(x3[7], np.inf)
+    session.set_point(x3, beta)
     assert len(rebuilds) == 4
-    _assert_rebuilt_exactly(session, x4)
+    _assert_rebuilt_exactly(session, x3)
 
 
 @pytest.mark.parametrize("name", ["affine", "cs"])
