@@ -238,7 +238,6 @@ class LogRegSession(EvaluationSession):
         self._ridge = np.empty(n)  # reg * x
         self._z = np.empty(N)  # A^T x
         self._w = np.empty(N)
-        self._scratch = np.empty(N)
         if problem._K is not None:
             # The last anchor, the one before it and a free buffer, with margins.
             self._anchor, self._previous, self._candidate = np.empty((3, n))
@@ -249,7 +248,7 @@ class LogRegSession(EvaluationSession):
 
     @property
     def _m(self) -> np.ndarray:
-        """The signed margins ``b * z``."""
+        """The signed margins ``b * z``; only the tests read them."""
         return self._problem._b * self._z
 
     def set_point(self, x: np.ndarray, step: float | None = None) -> None:
@@ -273,7 +272,8 @@ class LogRegSession(EvaluationSession):
         self._full = None
         np.copyto(self._x, candidate)
         change = np.matmul(p._K, self._w, out=self._change)
-        np.add(change, np.multiply(self._z, p._reg, out=self._scratch), out=change)
+        # reg * z(current) can take z's buffer: z(x) overwrites it next.
+        np.add(change, np.multiply(self._z, p._reg, out=self._z), out=change)
         np.multiply(change, step, out=change)
         np.subtract(z_from, change, out=self._z)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
@@ -296,10 +296,7 @@ class LogRegSession(EvaluationSession):
 
     def _rebuild(self) -> None:
         p = self._problem
-        if p._sparse:
-            np.copyto(self._z, p._At @ self._x)
-        else:
-            np.matmul(p._At, self._x, out=self._z)
+        np.copyto(self._z, p._At @ self._x)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
         if p._K is not None:
             np.copyto(self._anchor, self._x)
@@ -312,13 +309,9 @@ class LogRegSession(EvaluationSession):
         idx, values = self._row(i)
         if values.size == 0:
             return
-        if p._sparse:
-            z = self._z[idx] + values * delta
-            self._z[idx] = z
-            self._w[idx] = _sample_weights(z, p._nb[idx], p._nb_n[idx], out=z)
-        else:
-            np.add(self._z, np.multiply(values, delta, out=self._scratch), out=self._z)
-            _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
+        z = self._z[idx] + values * delta
+        self._z[idx] = z
+        self._w[idx] = _sample_weights(z, p._nb[idx], p._nb_n[idx], out=z)
 
     def _compute_full(self) -> np.ndarray:
         p = self._problem
