@@ -16,11 +16,14 @@ from minieg import (
 )
 from minieg.bench import (
     AffineSource,
+    ExperimentResult,
     ExperimentSpec,
     FixedProblemSource,
     InstanceFileSource,
     LibsvmSource,
+    MethodAggregate,
     SyntheticCSSource,
+    TrialRow,
     load_results_schema,
     rank_trace,
     render_table,
@@ -402,3 +405,121 @@ def test_csv_writer_matches_line_helper(cs_result, tmp_path):
 def test_jsonable_round_trips_through_json(cs_result):
     payload = result_to_jsonable(cs_result)
     assert json.loads(json.dumps(payload)) == payload
+
+
+RESULT_JSON = """\
+{
+  "aggregates": {
+    "eg": {
+      "capped": 0,
+      "converged": 1,
+      "display_name": "EG",
+      "failed": 0,
+      "mean_final_residual": 9.5e-07,
+      "mean_itr": 40.0,
+      "mean_nf": 80.0,
+      "mean_recovery_error": 0.125,
+      "mean_tcpu_s": 0.5,
+      "method": "eg",
+      "speedup_vs_reference": 1.0,
+      "std_itr": 0.0,
+      "std_nf": 0.0,
+      "std_tcpu_s": 0.0,
+      "trials": 1
+    },
+    "gmini": {
+      "capped": 0,
+      "converged": 1,
+      "display_name": "G-Mini-EG",
+      "failed": 0,
+      "mean_final_residual": 8.25e-07,
+      "mean_itr": 30.0,
+      "mean_nf": 60.0,
+      "mean_recovery_error": null,
+      "mean_tcpu_s": 0.25,
+      "method": "gmini",
+      "speedup_vs_reference": 2.0,
+      "std_itr": 0.0,
+      "std_nf": null,
+      "std_tcpu_s": 0.0,
+      "trials": 1
+    }
+  },
+  "experiment": {
+    "config": {
+      "gamma": 0.0,
+      "max_iterations": 500000,
+      "rho": 0.999,
+      "seed": 5,
+      "tolerance": 1e-06
+    },
+    "methods": [
+      "eg",
+      "gmini"
+    ],
+    "source": {
+      "kind": "synthetic-cs",
+      "n": 24,
+      "n_measurements": 8,
+      "reg_scale": 0.1,
+      "seed": 5,
+      "snr_db": 30.0,
+      "sparsity": 2
+    },
+    "trials": 1,
+    "x0_policy": "zeros",
+    "x0_scale": 1.0
+  },
+  "format": "minieg-results-v1",
+  "metadata": {
+    "lambda_setup_seconds": 0.0625,
+    "reference_method": "eg"
+  },
+  "trials": [
+    {
+      "final_residual": 9.5e-07,
+      "itr": 40,
+      "method": "eg",
+      "nf": 80.0,
+      "recovery_error": 0.125,
+      "seed": 5,
+      "status": "converged",
+      "tcpu_s": 0.5,
+      "trial": 0
+    },
+    {
+      "final_residual": 8.25e-07,
+      "itr": 30,
+      "method": "gmini",
+      "nf": 60.0,
+      "recovery_error": null,
+      "seed": 5,
+      "status": "converged",
+      "tcpu_s": 0.25,
+      "trial": 0
+    }
+  ]
+}
+"""
+
+
+def test_result_json_matches_the_fixed_document():
+    spec = ExperimentSpec(
+        source=SyntheticCSSource(n=24, n_measurements=8, sparsity=2, snr_db=30.0, seed=5),
+        methods=("eg", "gmini"), config=SolverConfig(tolerance=1e-6, seed=5), trials=1,
+    )
+    rows = [
+        TrialRow("eg", 0, 5, 40, 80.0, 0.5, 9.5e-7, "converged", recovery_error=0.125),
+        TrialRow("gmini", 0, 5, 30, 60.0, 0.25, 8.25e-7, "converged", recovery_error=math.nan),
+    ]
+    aggregates = {
+        "eg": MethodAggregate("eg", "EG", 1, 1, 0, 0, 40.0, 0.0, 80.0, 0.0, 0.5, 0.0, 9.5e-7,
+                              speedup_vs_reference=1.0, mean_recovery_error=0.125),
+        "gmini": MethodAggregate("gmini", "G-Mini-EG", 1, 1, 0, 0, 30.0, 0.0, 60.0, math.nan,
+                                 0.25, 0.0, 8.25e-7, speedup_vs_reference=2.0),
+    }
+    metadata = {"source": spec.source.describe(), "reference_method": "eg",
+                "lambda_setup_seconds": 0.0625}
+    result = ExperimentResult(spec=spec, rows=rows, aggregates=aggregates, metadata=metadata)
+    text = json.dumps(result_to_jsonable(result), indent=2, sort_keys=True) + "\n"
+    assert text == RESULT_JSON

@@ -1,12 +1,18 @@
 """End-to-end command-line tests driving ``minieg.cli.main``."""
 
+import itertools
 import json
+import math
+import time
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
 import pytest
 
-from minieg.bench import load_results_schema
+import minieg.cli
+from minieg import RunStatus
+from minieg.bench import RankPoint, SweepResult, load_results_schema
 from minieg.cli import main
 
 
@@ -84,6 +90,23 @@ def test_bench_writes_tables_and_csv_files(fmt, tmp_path, capsys):
         assert [line.split(",")[:2] for line in lines[1:]] == [
             ["gmini", "0"], ["wmax", "0"], ["gmini", "1"], ["wmax", "1"],
         ]
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_bench_out_file_holds_exactly_what_stdout_would(fmt, tmp_path, capsys, monkeypatch):
+    argv = ["bench", "--cs", "24,8,2", "--trials", "2", "--format", fmt]
+    out = tmp_path / f"result.{fmt}"
+    printed = {}
+    for extra in ([], ["--out", str(out)]):
+        ticks = itertools.count()  # the same clock readings for both runs
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.25 * next(ticks))
+        assert main(argv + extra) == 0
+        printed[bool(extra)] = capsys.readouterr().out
+    assert out.read_text(encoding="utf-8") == printed[False]
+    assert printed[True].startswith("method  ")
+    assert printed[True].endswith(f"\n\nwrote {fmt} to {out}\n")
+    if fmt == "table":
+        assert printed[True] == printed[False] + f"\nwrote table to {out}\n"
 
 
 def test_bench_verbose_ticker_lands_on_stderr(capsys):
@@ -182,6 +205,96 @@ def test_sweep_rho_writes_json(tmp_path, capsys):
     assert payload["grid"] == [0.5, 0.9]
     assert len(payload["rows"]) == 2 * 4  # grid points x metrics
     assert {row["method"] for row in payload["rows"]} == {"gmini"}
+
+
+SWEEP_ROWS = [
+    ("gmini", 0.5, "itr", 12.0, 1.5),
+    ("gmini", 0.5, "nf", 0.1, math.nan),
+    ("gmini", 0.999, "itr", 7.0, 0.0),
+]
+
+SWEEP_TABLE = """\
+method        rho           metric             mean            std
+------------------------------------------------------------------
+gmini         0.5              itr               12            1.5
+gmini         0.5               nf              0.1            nan
+gmini       0.999              itr                7              0
+"""
+
+SWEEP_JSON = """\
+{
+  "format": "minieg-sweep-v1",
+  "grid": [
+    0.5,
+    0.999
+  ],
+  "metadata": {
+    "trials": 1
+  },
+  "rows": [
+    {
+      "mean": 12.0,
+      "method": "gmini",
+      "metric": "itr",
+      "rho": 0.5,
+      "std": 1.5
+    },
+    {
+      "mean": 0.1,
+      "method": "gmini",
+      "metric": "nf",
+      "rho": 0.5,
+      "std": null
+    },
+    {
+      "mean": 7.0,
+      "method": "gmini",
+      "metric": "itr",
+      "rho": 0.999,
+      "std": 0.0
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, document", [
+    ("csv", "method,rho,metric,mean,std\ngmini,0.5,itr,12,1.5\n"
+            "gmini,0.5,nf,0.10000000000000001,nan\ngmini,0.999,itr,7,0\n"),
+    ("json", SWEEP_JSON),
+])
+def test_sweep_rho_writes_the_fixed_documents(fmt, document, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(
+        minieg.cli, "sweep_rho",
+        lambda spec, grid: SweepResult(spec, tuple(grid), list(SWEEP_ROWS), {"trials": 1}),
+    )
+    out = tmp_path / f"sweep.{fmt}"
+    code = main([
+        "sweep-rho", "--affine", "4", "--method", "gmini", "--trials", "1",
+        "--grid", "0.5,0.999", "--format", fmt, "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out == SWEEP_TABLE + f"\nwrote {fmt} to {out}\n"
+    assert out.read_text(encoding="utf-8") == document
+
+
+def test_rank_trace_writes_the_fixed_document(tmp_path, capsys, monkeypatch):
+    points = [RankPoint(0, 0.25, None), RankPoint(1, 0.015625, True), RankPoint(2, 1 / 3, False)]
+    run = SimpleNamespace(status=RunStatus.CONVERGED, iterations=3)
+    monkeypatch.setattr(minieg.cli, "rank_trace", lambda problem, method, config: (run, points))
+    out = tmp_path / "ranks.csv"
+    assert main(["rank-trace", "--affine", "4", "--diagnostics", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "method=wmax status=converged iterations=3\n"
+        "median normalized rank: 0.25000\n"
+        "share of iterations in top 2%: 33.3%\n"
+        "watchdog resets: 1\n"
+        "diagnostic overhead: 3 full evals (uncharged)\n"
+        f"wrote rank trace to {out}\n"
+    )
+    assert out.read_text(encoding="utf-8") == (
+        "k,normalized_rank,reset_flag\n0,0.25,\n1,0.015625,1\n2,0.33333333333333331,0\n"
+    )
 
 
 @pytest.mark.parametrize("argv, needle", [
