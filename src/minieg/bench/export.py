@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from importlib import resources
-from pathlib import Path
 
 from ..solvers import method_display_name
 from .runner import ExperimentResult, RankPoint, SweepResult
@@ -20,16 +20,13 @@ from .runner import ExperimentResult, RankPoint, SweepResult
 __all__ = [
     "TRIAL_CSV_HEADER",
     "trial_csv_lines",
-    "write_trials_csv",
     "result_to_jsonable",
-    "write_result_json",
     "render_table",
     "SWEEP_CSV_HEADER",
-    "write_sweep_csv",
+    "sweep_csv_lines",
     "sweep_to_jsonable",
-    "write_sweep_json",
     "RANK_CSV_HEADER",
-    "write_rank_csv",
+    "rank_csv_lines",
     "load_results_schema",
 ]
 
@@ -49,6 +46,11 @@ def _clean(value):
     return value
 
 
+def _cleaned(record) -> dict:
+    """A dataclass record's fields, with non-finite values as null."""
+    return {key: _clean(value) for key, value in asdict(record).items()}
+
+
 # ---------------------------------------------------------------------------
 # Trial-level CSV
 # ---------------------------------------------------------------------------
@@ -64,10 +66,6 @@ def trial_csv_lines(result: ExperimentResult) -> list[str]:
     return lines
 
 
-def write_trials_csv(path, result: ExperimentResult) -> None:
-    Path(path).write_text("\n".join(trial_csv_lines(result)) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # JSON
 # ---------------------------------------------------------------------------
@@ -75,19 +73,12 @@ def write_trials_csv(path, result: ExperimentResult) -> None:
 
 def result_to_jsonable(result: ExperimentResult) -> dict:
     spec = result.spec
-    cfg = spec.config
     return {
         "format": "minieg-results-v1",
         "experiment": {
             "source": result.metadata.get("source", spec.source.describe()),
             "methods": list(spec.methods),
-            "config": {
-                "rho": cfg.rho,
-                "gamma": cfg.gamma,
-                "tolerance": cfg.tolerance,
-                "max_iterations": cfg.max_iterations,
-                "seed": cfg.seed,
-            },
+            "config": _cleaned(spec.config),
             "trials": spec.trials,
             "x0_policy": spec.x0_policy,
             "x0_scale": spec.x0_scale,
@@ -95,46 +86,9 @@ def result_to_jsonable(result: ExperimentResult) -> dict:
         "metadata": {
             k: _clean(v) for k, v in result.metadata.items() if k != "source"
         },
-        "trials": [
-            {
-                "method": r.method,
-                "trial": r.trial,
-                "seed": r.seed,
-                "itr": r.itr,
-                "nf": r.nf,
-                "tcpu_s": r.tcpu_s,
-                "final_residual": _clean(r.final_residual),
-                "status": r.status,
-                "recovery_error": _clean(r.recovery_error),
-            }
-            for r in result.rows
-        ],
-        "aggregates": {
-            method: {
-                "method": agg.method,
-                "display_name": agg.display_name,
-                "trials": agg.trials,
-                "converged": agg.converged,
-                "capped": agg.capped,
-                "failed": agg.failed,
-                "mean_itr": _clean(agg.mean_itr),
-                "std_itr": _clean(agg.std_itr),
-                "mean_nf": _clean(agg.mean_nf),
-                "std_nf": _clean(agg.std_nf),
-                "mean_tcpu_s": _clean(agg.mean_tcpu_s),
-                "std_tcpu_s": _clean(agg.std_tcpu_s),
-                "mean_final_residual": _clean(agg.mean_final_residual),
-                "speedup_vs_reference": _clean(agg.speedup_vs_reference),
-                "mean_recovery_error": _clean(agg.mean_recovery_error),
-            }
-            for method, agg in result.aggregates.items()
-        },
+        "trials": [_cleaned(r) for r in result.rows],
+        "aggregates": {method: _cleaned(agg) for method, agg in result.aggregates.items()},
     }
-
-
-def write_result_json(path, result: ExperimentResult) -> None:
-    payload = json.dumps(result_to_jsonable(result), indent=2, sort_keys=True)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
 
 
 def load_results_schema() -> dict:
@@ -209,11 +163,11 @@ def render_table(result: ExperimentResult) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_sweep_csv(path, sweep: SweepResult) -> None:
+def sweep_csv_lines(sweep: SweepResult) -> list[str]:
     lines = [SWEEP_CSV_HEADER]
     for method, rho, metric, mean, std in sweep.rows:
         lines.append(f"{method},{_fmt(rho)},{metric},{_fmt(mean)},{_fmt(std)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines
 
 
 def sweep_to_jsonable(sweep: SweepResult) -> dict:
@@ -234,14 +188,9 @@ def sweep_to_jsonable(sweep: SweepResult) -> dict:
     }
 
 
-def write_sweep_json(path, sweep: SweepResult) -> None:
-    payload = json.dumps(sweep_to_jsonable(sweep), indent=2, sort_keys=True)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-
-
-def write_rank_csv(path, points: list[RankPoint]) -> None:
+def rank_csv_lines(points: list[RankPoint]) -> list[str]:
     lines = [RANK_CSV_HEADER]
     for p in points:
         reset = "" if p.reset is None else str(int(p.reset))
         lines.append(f"{p.k},{_fmt(p.normalized_rank)},{reset}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return lines

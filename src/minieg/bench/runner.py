@@ -394,12 +394,9 @@ def sweep_rho(spec: ExperimentSpec, grid) -> SweepResult:
         outcome = run_experiment(sub)
         for method in spec.methods:
             agg = outcome.aggregates[method]
-            rows.append((method, rho, "itr", agg.mean_itr, agg.std_itr))
-            rows.append((method, rho, "nf", agg.mean_nf, agg.std_nf))
-            rows.append((method, rho, "tcpu_s", agg.mean_tcpu_s, agg.std_tcpu_s))
-            rows.append(
-                (method, rho, "final_residual", agg.mean_final_residual, float("nan"))
-            )
+            for metric in _SWEEP_METRICS:  # no std of the final residual is kept: NaN
+                rows.append((method, rho, metric, getattr(agg, f"mean_{metric}"),
+                             getattr(agg, f"std_{metric}", math.nan)))
     metadata = {"source": spec.source.describe(), "grid": list(grid)}
     return SweepResult(spec=spec, grid=grid, rows=rows, metadata=metadata)
 

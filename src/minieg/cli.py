@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .bench import (
     AffineSource,
@@ -28,18 +29,15 @@ from .bench import (
     InstanceFileSource,
     LibsvmSource,
     SyntheticCSSource,
+    rank_csv_lines,
     rank_trace,
     render_table,
     result_to_jsonable,
     run_experiment,
+    sweep_csv_lines,
     sweep_rho,
     sweep_to_jsonable,
     trial_csv_lines,
-    write_rank_csv,
-    write_result_json,
-    write_sweep_csv,
-    write_sweep_json,
-    write_trials_csv,
 )
 from .core import ConfigurationError
 from .problems import LibsvmParseError, build_cs_instance, save_instance
@@ -107,6 +105,30 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# The document each --format names, per subcommand; the first is the default.
+_FORMATS = {
+    "bench": {"table": render_table, "csv": trial_csv_lines, "json": result_to_jsonable},
+    "sweep-rho": {"csv": sweep_csv_lines, "json": sweep_to_jsonable},
+}
+
+
+def _add_experiment_flags(parser: argparse.ArgumentParser, formats: dict) -> None:
+    parser.add_argument(
+        "--method",
+        default=",".join(METHOD_IDS),
+        help=f"comma-separated method ids from: {', '.join(METHOD_IDS)} (default: all)",
+    )
+    parser.add_argument(
+        "--trials",
+        type=int,
+        default=10,
+        help="number of trials (default 10; the full protocol uses 100)",
+    )
+    parser.add_argument("--x0", choices=["zeros", "gaussian"], default="zeros")
+    parser.add_argument("--out", help="output file path")
+    parser.add_argument("--format", choices=list(formats), default=next(iter(formats)))
+
+
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rho", type=float, default=0.999, help="probe-step fraction in (0,1)")
     parser.add_argument(
@@ -145,6 +167,31 @@ def _config_from_args(args: argparse.Namespace) -> SolverConfig:
     )
 
 
+def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
+    return ExperimentSpec(
+        source=_source_from_args(args),
+        methods=_parse_methods(args.method),
+        config=_config_from_args(args),
+        trials=args.trials,
+        x0_policy=args.x0,
+    )
+
+
+def _text(document) -> str:
+    """A renderer's output as text: JSON for a dict, one line per entry for a list."""
+    if isinstance(document, dict):
+        return json.dumps(document, indent=2, sort_keys=True)
+    if isinstance(document, list):
+        return "\n".join(document)
+    return document
+
+
+def _write_out(path, document, note: str) -> None:
+    """Write a document to ``--out``, then print ``note`` and where it went."""
+    Path(path).write_text(_text(document) + "\n", encoding="utf-8")
+    print(f"{note} to {path}")
+
+
 def _progress(stream):
     def tick(trial: int, method: str) -> None:
         print(f"  trial {trial} / {method}", file=stream)
@@ -158,33 +205,13 @@ def _progress(stream):
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    spec = ExperimentSpec(
-        source=_source_from_args(args),
-        methods=_parse_methods(args.method),
-        config=_config_from_args(args),
-        trials=args.trials,
-        x0_policy=args.x0,
-    )
     progress = _progress(sys.stderr) if args.verbose else None
-    result = run_experiment(spec, progress=progress)
-
-    if args.out:
-        if args.format == "csv":
-            write_trials_csv(args.out, result)
-        elif args.format == "json":
-            write_result_json(args.out, result)
-        else:
-            from pathlib import Path
-
-            Path(args.out).write_text(render_table(result) + "\n", encoding="utf-8")
-        print(render_table(result))
-        print(f"\nwrote {args.format} to {args.out}")
-    elif args.format == "csv":
-        print("\n".join(trial_csv_lines(result)))
-    elif args.format == "json":
-        print(json.dumps(result_to_jsonable(result), indent=2, sort_keys=True))
+    result = run_experiment(_spec_from_args(args), progress=progress)
+    document = _FORMATS["bench"][args.format](result)
+    if args.out:  # the file takes the document, stdout the summary table
+        _write_out(args.out, document, f"{render_table(result)}\n\nwrote {args.format}")
     else:
-        print(render_table(result))
+        print(_text(document))
     return 0
 
 
@@ -193,14 +220,7 @@ def _cmd_sweep_rho(args: argparse.Namespace) -> int:
         grid = tuple(float(p) for p in args.grid.split(",") if p.strip())
     except ValueError:
         raise ConfigurationError(f"could not parse --grid value {args.grid!r}") from None
-    spec = ExperimentSpec(
-        source=_source_from_args(args),
-        methods=_parse_methods(args.method),
-        config=_config_from_args(args),
-        trials=args.trials,
-        x0_policy=args.x0,
-    )
-    sweep = sweep_rho(spec, grid)
+    sweep = sweep_rho(_spec_from_args(args), grid)
 
     header = f"{'method':8} {'rho':>8} {'metric':>16} {'mean':>16} {'std':>14}"
     print(header)
@@ -209,11 +229,7 @@ def _cmd_sweep_rho(args: argparse.Namespace) -> int:
         print(f"{method:8} {rho:>8g} {metric:>16} {mean:>16.6g} {std:>14.6g}")
 
     if args.out:
-        if args.format == "json":
-            write_sweep_json(args.out, sweep)
-        else:
-            write_sweep_csv(args.out, sweep)
-        print(f"\nwrote {args.format} to {args.out}")
+        _write_out(args.out, _FORMATS["sweep-rho"][args.format](sweep), f"\nwrote {args.format}")
     return 0
 
 
@@ -240,8 +256,7 @@ def _cmd_rank_trace(args: argparse.Namespace) -> int:
     print(f"diagnostic overhead: {len(points):g} full evals (uncharged)")
 
     if args.out:
-        write_rank_csv(args.out, points)
-        print(f"wrote rank trace to {args.out}")
+        _write_out(args.out, rank_csv_lines(points), "wrote rank trace")
     return 0
 
 
@@ -279,20 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run solvers over repeated trials")
     _add_problem_flags(bench)
     _add_solver_flags(bench)
-    bench.add_argument(
-        "--method",
-        default=",".join(METHOD_IDS),
-        help=f"comma-separated method ids from: {', '.join(METHOD_IDS)} (default: all)",
-    )
-    bench.add_argument(
-        "--trials",
-        type=int,
-        default=10,
-        help="number of trials (default 10; the full protocol uses 100)",
-    )
-    bench.add_argument("--x0", choices=["zeros", "gaussian"], default="zeros")
-    bench.add_argument("--out", help="output file path")
-    bench.add_argument("--format", choices=["table", "csv", "json"], default="table")
+    _add_experiment_flags(bench, _FORMATS["bench"])
     bench.add_argument("--verbose", action="store_true", help="progress ticker on stderr")
     bench.set_defaults(func=_cmd_bench)
 
@@ -300,15 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(sweep)
     _add_solver_flags(sweep)
     sweep.add_argument("--grid", required=True, help="comma-separated rho values, e.g. 0.5,0.9,0.999")
-    sweep.add_argument(
-        "--method",
-        default=",".join(METHOD_IDS),
-        help=f"comma-separated method ids from: {', '.join(METHOD_IDS)} (default: all)",
-    )
-    sweep.add_argument("--trials", type=int, default=10)
-    sweep.add_argument("--x0", choices=["zeros", "gaussian"], default="zeros")
-    sweep.add_argument("--out", help="output file path")
-    sweep.add_argument("--format", choices=["csv", "json"], default="csv")
+    _add_experiment_flags(sweep, _FORMATS["sweep-rho"])
     sweep.set_defaults(func=_cmd_sweep_rho)
 
     rank = sub.add_parser("rank-trace", help="instrument coordinate selection quality")

@@ -24,6 +24,7 @@ O(1), and a coordinate shift updates ``g`` with a single cached Gram row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from ..core import (
     NonnegativeProjection,
     Projection,
     STREAM_INSTANCE,
+    _is_real,
     seeded_generator,
 )
 from .spectral import estimate_lambda_max, require_converged
@@ -107,8 +109,8 @@ class CSProblem(MonotoneMapping):
         atb = A.T @ b
         if reg is None:
             reg = 0.1 * float(np.abs(atb).max())
-        if not (np.isfinite(reg) and reg > 0):
-            raise ConfigurationError(f"reg must be positive and finite, got {reg}")
+        if not (_is_real(reg) and np.isfinite(reg) and reg > 0):
+            raise ConfigurationError(f"reg must be a positive and finite real number, got {reg!r}")
         self._reg = float(reg)
         self._c_top = self._reg - atb          # (Hz+c) upper half offset
         self._c_bot = self._reg + atb          # lower half offset
@@ -279,8 +281,22 @@ def build_cs_instance(
     (unit expected column norms), the planted signal has ``sparsity``
     Gaussian spikes on a random support, and Gaussian measurement noise is
     scaled to the requested SNR. The regularization weight follows the usual
-    ``reg_scale * ||A^T b||_inf`` rule.
+    ``reg_scale * ||A^T b||_inf`` rule. An ``snr_db`` of +inf builds a
+    noiseless instance; one whose noise scale ``10 ** (snr_db / 20)`` is not a
+    positive finite float (NaN, -inf, below about -6472 dB or above about
+    6165 dB) is rejected.
     """
+    try:
+        noise_scale_ok = _is_real(snr_db) and (
+            snr_db == math.inf or 0.0 < 10.0 ** (float(snr_db) / 20.0) < math.inf
+        )
+    except OverflowError:
+        noise_scale_ok = False
+    if not noise_scale_ok:
+        raise ConfigurationError(
+            f"snr_db must be +inf or a real number whose 10 ** (snr_db / 20) is a positive "
+            f"finite float, got {snr_db!r}"
+        )
     if not 0 < sparsity <= n:
         raise ConfigurationError(f"sparsity must be in [1, {n}], got {sparsity}")
     if n_measurements < 1:

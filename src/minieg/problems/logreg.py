@@ -39,6 +39,7 @@ from ..core import (
     EvaluationSession,
     MonotoneMapping,
     STREAM_INSTANCE,
+    _is_real,
     seeded_generator,
 )
 from .spectral import estimate_lambda_max, require_converged
@@ -82,8 +83,8 @@ class LogRegProblem(MonotoneMapping):
     """
 
     def __init__(self, features, labels, *, reg: float = 0.1, spectral_seed: int = 0) -> None:
-        if not (np.isfinite(reg) and reg > 0):
-            raise ConfigurationError(f"reg must be positive and finite, got {reg}")
+        if not (_is_real(reg) and np.isfinite(reg) and reg > 0):
+            raise ConfigurationError(f"reg must be a positive and finite real number, got {reg!r}")
         labels = np.asarray(labels, dtype=float).ravel()
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be +-1")
@@ -208,7 +209,7 @@ class LogRegSession(EvaluationSession):
     ``w = -b * expit(-b * z) / N``. The labels are +-1, so ``b * z``,
     ``-b * z`` and ``b * (v * delta)`` are exact and rounding is symmetric in
     sign: the weights, ``F`` and every trace have the bits they would have
-    with signed margins ``m = b * z`` cached instead (``_m`` reads them).
+    with signed margins ``m = b * z`` cached instead.
 
     When the problem keeps ``K = A^T A``, the session also keeps two anchors
     with their margins: the point of the last ``set_point`` (or of the
@@ -245,11 +246,6 @@ class LogRegSession(EvaluationSession):
             self._has_previous = False
             self._updates = 0  # Gram updates since the last exact rebuild
         super().__init__(problem, x0, ledger)
-
-    @property
-    def _m(self) -> np.ndarray:
-        """The signed margins ``b * z``; only the tests read them."""
-        return self._problem._b * self._z
 
     def set_point(self, x: np.ndarray, step: float | None = None) -> None:
         p = self._problem

@@ -25,17 +25,15 @@ from minieg.bench import (
     SyntheticCSSource,
     TrialRow,
     load_results_schema,
+    rank_csv_lines,
     rank_trace,
     render_table,
     result_to_jsonable,
     run_experiment,
+    sweep_csv_lines,
     sweep_rho,
     sweep_to_jsonable,
     trial_csv_lines,
-    write_rank_csv,
-    write_result_json,
-    write_sweep_csv,
-    write_trials_csv,
 )
 from minieg.bench.runner import _make_x0
 from minieg.problems import (
@@ -160,10 +158,8 @@ def test_trial_csv_is_deterministic_modulo_timing(cs_result):
         assert l_cells == r_cells
 
 
-def test_json_export_validates_against_the_shipped_schema(cs_result, tmp_path):
-    path = tmp_path / "out.json"
-    write_result_json(path, cs_result)
-    payload = json.loads(path.read_text())
+def test_json_export_validates_against_the_shipped_schema(cs_result):
+    payload = json.loads(json.dumps(result_to_jsonable(cs_result)))
     jsonschema.validate(payload, load_results_schema())
     assert payload["format"] == "minieg-results-v1"
     assert len(payload["trials"]) == 8
@@ -214,7 +210,7 @@ class _SignFlipProblem(MonotoneMapping):
         return _SignFlipSession(self, x0, ledger)
 
 
-def test_failed_trials_are_excluded_from_aggregates(tmp_path):
+def test_failed_trials_are_excluded_from_aggregates():
     spec = ExperimentSpec(
         source=FixedProblemSource(_SignFlipProblem(), label="sign-flip"),
         methods=("gmini",),
@@ -226,9 +222,7 @@ def test_failed_trials_are_excluded_from_aggregates(tmp_path):
     assert math.isnan(agg.mean_itr) and math.isnan(agg.mean_nf)
     assert agg.speedup_vs_reference is None
 
-    path = tmp_path / "failed.json"
-    write_result_json(path, result)
-    payload = json.loads(path.read_text())
+    payload = json.loads(json.dumps(result_to_jsonable(result)))
     jsonschema.validate(payload, load_results_schema())
     assert payload["aggregates"]["gmini"]["mean_itr"] is None
     assert all(t["status"] == "stepsize_failure" for t in payload["trials"])
@@ -241,7 +235,7 @@ class _NaNProblem(_SignFlipProblem):
         return np.full(1, np.nan) + self._check_point(x)
 
 
-def test_non_finite_trials_count_as_failed(tmp_path):
+def test_non_finite_trials_count_as_failed():
     spec = ExperimentSpec(
         source=FixedProblemSource(_NaNProblem(), label="nan"), trials=2,
     )
@@ -250,15 +244,13 @@ def test_non_finite_trials_count_as_failed(tmp_path):
         assert agg.failed == 2 and agg.converged == 0 and agg.capped == 0
         assert math.isnan(agg.mean_itr) and math.isnan(agg.mean_final_residual)
 
-    path = tmp_path / "non_finite.json"
-    write_result_json(path, result)
-    payload = json.loads(path.read_text())
+    payload = json.loads(json.dumps(result_to_jsonable(result)))
     jsonschema.validate(payload, load_results_schema())
     assert all(t["status"] == "non_finite_residual" for t in payload["trials"])
     assert all(t["final_residual"] is None for t in payload["trials"])
 
 
-def test_sweep_produces_a_row_per_cell_and_realizes_the_rho_trend(tmp_path):
+def test_sweep_produces_a_row_per_cell_and_realizes_the_rho_trend():
     spec = ExperimentSpec(
         source=FixedProblemSource(synthetic_logreg(20, 40, seed=0)),
         methods=("eg", "gmini"),
@@ -274,9 +266,7 @@ def test_sweep_produces_a_row_per_cell_and_realizes_the_rho_trend(tmp_path):
     # shortens the run on this instance.
     assert nf[("eg", 0.999)] <= nf[("eg", 0.5)]
 
-    csv_path = tmp_path / "sweep.csv"
-    write_sweep_csv(csv_path, sweep)
-    lines = csv_path.read_text().splitlines()
+    lines = sweep_csv_lines(sweep)
     assert lines[0] == "method,rho,metric,mean,std"
     assert len(lines) == 17
 
@@ -297,7 +287,7 @@ def test_rank_trace_rejects_the_full_vector_method():
         rank_trace(problem, method="eg")
 
 
-def test_rank_trace_reports_normalized_ranks(tmp_path):
+def test_rank_trace_reports_normalized_ranks():
     problem = synthetic_logreg(30, 60, seed=2)
     config = SolverConfig(max_iterations=200)
     uncharged = []
@@ -313,9 +303,7 @@ def test_rank_trace_reports_normalized_ranks(tmp_path):
             round(point.normalized_rank * problem.dim)
         )
 
-    path = tmp_path / "rank.csv"
-    write_rank_csv(path, points)
-    lines = path.read_text().splitlines()
+    lines = rank_csv_lines(points)
     assert lines[0] == "k,normalized_rank,reset_flag"
     assert len(lines) == len(points) + 1
 
@@ -394,12 +382,6 @@ def test_json_export_writes_non_finite_values_as_null():
     assert payload["trials"][0]["recovery_error"] is None
     assert payload["aggregates"]["gmini"]["std_nf"] is None
     assert payload["trials"][0]["nf"] == failed.rows[0].nf  # finite values pass through
-
-
-def test_csv_writer_matches_line_helper(cs_result, tmp_path):
-    path = tmp_path / "trials.csv"
-    write_trials_csv(path, cs_result)
-    assert path.read_text().splitlines() == trial_csv_lines(cs_result)
 
 
 def test_jsonable_round_trips_through_json(cs_result):

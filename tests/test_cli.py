@@ -382,3 +382,11 @@ def test_subcommand_is_required():
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("snr", ["nan", "-inf", "7000"])
+def test_an_snr_without_a_noise_scale_exits_with_an_error(snr, capsys):
+    code = main(["bench", "--cs", f"24,8,2,{snr}", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "snr_db" in captured.err

@@ -1,5 +1,7 @@
 """Sparse-recovery backend: construction, dense oracles, persistence."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -240,3 +242,36 @@ def _with_nan(values, index):
 def test_rejects_non_finite_problem_data(sensing, measurements, reg):
     with pytest.raises(ConfigurationError, match="finite"):
         CSProblem(sensing, measurements, reg=reg)
+
+
+
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -7000.0, 7000.0, True, "20"])
+def test_snr_without_a_float_noise_scale_is_rejected(snr_db):
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        build_cs_instance(24, 8, 2, snr_db=snr_db)
+
+
+def test_nan_snr_is_rejected_and_infinite_snr_builds_a_noiseless_instance():
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        build_cs_instance(24, 8, 2, snr_db=np.float64(np.nan))
+    for snr_db in (math.inf, np.float64(np.inf)):
+        problem = build_cs_instance(24, 8, 2, snr_db=snr_db, seed=3)
+        assert problem.meta.snr_db == math.inf and problem.meta.realized_snr_db == math.inf
+        np.testing.assert_array_equal(problem.measurements, problem.sensing @ problem.x_true)
+
+
+@pytest.mark.parametrize("snr_db", [-600.0, 600.0, 600])
+def test_large_finite_snr_still_builds(snr_db):
+    problem = build_cs_instance(24, 8, 2, snr_db=snr_db, seed=1)
+    assert problem.meta.realized_snr_db == pytest.approx(snr_db)
+
+
+@pytest.mark.parametrize("reg", [-0.5, math.nan, math.inf, True, "0.1"])
+def test_reg_must_be_a_positive_real_number(reg):
+    with pytest.raises(ConfigurationError, match="reg"):
+        CSProblem(np.ones((2, 2)), np.ones(2), reg=reg)
+
+
+@pytest.mark.parametrize("reg", [0.1, np.float64(0.1)])
+def test_a_positive_real_reg_is_accepted(reg):
+    assert CSProblem(np.ones((2, 2)), np.ones(2), reg=reg).reg == 0.1

@@ -1,5 +1,7 @@
 """Regularized logistic-gradient problem: constants, oracles, validation."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -259,3 +261,14 @@ def test_an_eg_solve_rebuilds_only_for_the_periodic_exact_update():
     # from the last anchor, the step from the one before; only the 64th move
     # in a row is an exact rebuild.
     assert len(rebuilds[0]) == 1
+
+
+@pytest.mark.parametrize("reg", [-0.5, math.nan, math.inf, True, "0.1"])
+def test_reg_must_be_a_positive_real_number(reg):
+    with pytest.raises(ConfigurationError, match="reg"):
+        LogRegProblem(np.array([[2.0, 0.0]]), [1.0], reg=reg)
+
+
+@pytest.mark.parametrize("reg", [0.1, np.float64(0.1)])
+def test_a_positive_real_reg_is_accepted(reg):
+    assert LogRegProblem(np.array([[2.0, 0.0]]), [1.0], reg=reg).reg == 0.1
