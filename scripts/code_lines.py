@@ -3,6 +3,10 @@
 Usage::
 
     python3 scripts/code_lines.py src/minieg/solvers.py [more files ...]
+    python3 scripts/code_lines.py src/minieg
+
+A directory stands for the ``*.py`` files under it, recursively, in sorted
+order.
 
 A code line is a line that holds a token other than a comment, NL, NEWLINE,
 INDENT or DEDENT; a token that spans several lines, such as a triple-quoted
@@ -19,6 +23,7 @@ import argparse
 import ast
 import io
 import tokenize
+from pathlib import Path
 
 _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -53,18 +58,25 @@ def count_lines(source: str) -> tuple[int, int]:
     return len(code - docstrings), len(docstrings)
 
 
+def python_files(path: str) -> list[str]:
+    """``path`` itself, or the ``*.py`` files under a directory, in sorted order."""
+    root = Path(path)
+    return sorted(map(str, root.rglob("*.py"))) if root.is_dir() else [path]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("paths", nargs="+", help="Python files to count")
+    parser.add_argument("paths", nargs="+", help="Python files, or directories of them, to count")
     args = parser.parse_args(argv)
+    paths = [found for path in args.paths for found in python_files(path)]
     totals = [0, 0]
-    for path in args.paths:
+    for path in paths:
         with open(path, encoding="utf-8") as handle:
             code, docs = count_lines(handle.read())
         totals[0] += code
         totals[1] += docs
         print(f"{path}: {code} code lines, {docs} docstring lines")
-    if len(args.paths) > 1:
+    if len(paths) > 1:
         print(f"total: {totals[0]} code lines, {totals[1]} docstring lines")
     return 0
 

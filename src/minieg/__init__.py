@@ -9,51 +9,11 @@ complementarity reformulation, affine test maps), an experiment harness with
 deterministic seeding, and the ``minieg`` command-line tool.
 """
 
-from .core import (
-    BoxProjection,
-    ConfigurationError,
-    CostLedger,
-    EvaluationSession,
-    IdentityProjection,
-    MonotoneMapping,
-    NonnegativeProjection,
-    Projection,
-    seeded_generator,
-    weighted_norm,
-)
-from .solvers import (
-    METHOD_IDS,
-    RunResult,
-    RunStatus,
-    SolverConfig,
-    StepObservation,
-    StepsizeFailure,
-    lipschitz_power_sampler,
-    method_display_name,
-    run_solver,
-)
+# Each public name is declared once, in the ``__all__`` of the module that defines it.
+from . import core, solvers
+from .core import *
+from .solvers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoxProjection",
-    "ConfigurationError",
-    "CostLedger",
-    "EvaluationSession",
-    "IdentityProjection",
-    "MonotoneMapping",
-    "NonnegativeProjection",
-    "Projection",
-    "seeded_generator",
-    "weighted_norm",
-    "METHOD_IDS",
-    "RunResult",
-    "RunStatus",
-    "SolverConfig",
-    "StepObservation",
-    "StepsizeFailure",
-    "lipschitz_power_sampler",
-    "method_display_name",
-    "run_solver",
-    "__version__",
-]
+__all__ = [*core.__all__, *solvers.__all__, "__version__"]

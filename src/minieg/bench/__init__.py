@@ -1,57 +1,8 @@
 """Benchmark harness: experiment specs, runners, and exporters."""
 
-from .export import (
-    RANK_CSV_HEADER,
-    SWEEP_CSV_HEADER,
-    TRIAL_CSV_HEADER,
-    load_results_schema,
-    rank_csv_lines,
-    render_table,
-    result_to_jsonable,
-    sweep_csv_lines,
-    sweep_to_jsonable,
-    trial_csv_lines,
-)
-from .runner import (
-    AffineSource,
-    ExperimentResult,
-    ExperimentSpec,
-    FixedProblemSource,
-    InstanceFileSource,
-    LibsvmSource,
-    MethodAggregate,
-    RankPoint,
-    SweepResult,
-    SyntheticCSSource,
-    TrialRow,
-    rank_trace,
-    run_experiment,
-    sweep_rho,
-)
+# Each public name is declared once, in the ``__all__`` of the module that defines it.
+from . import export, runner
+from .export import *
+from .runner import *
 
-__all__ = [
-    "AffineSource",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FixedProblemSource",
-    "InstanceFileSource",
-    "LibsvmSource",
-    "MethodAggregate",
-    "RankPoint",
-    "SweepResult",
-    "SyntheticCSSource",
-    "TrialRow",
-    "rank_trace",
-    "run_experiment",
-    "sweep_rho",
-    "RANK_CSV_HEADER",
-    "SWEEP_CSV_HEADER",
-    "TRIAL_CSV_HEADER",
-    "load_results_schema",
-    "rank_csv_lines",
-    "render_table",
-    "result_to_jsonable",
-    "sweep_csv_lines",
-    "sweep_to_jsonable",
-    "trial_csv_lines",
-]
+__all__ = [*runner.__all__, *export.__all__]

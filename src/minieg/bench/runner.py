@@ -36,6 +36,7 @@ from ..problems import (
 )
 from ..problems.logreg import LogRegProblem
 from ..solvers import (
+    METHOD_IDS,
     RunStatus,
     SolverConfig,
     method_display_name,
@@ -182,7 +183,7 @@ class ExperimentSpec:
     """Complete, reproducible description of one benchmark run."""
 
     source: ProblemSource
-    methods: tuple[str, ...] = ("eg", "gmini", "rmini", "wmax")
+    methods: tuple[str, ...] = METHOD_IDS
     config: SolverConfig = field(default_factory=SolverConfig)
     trials: int = 100
     x0_policy: str = "zeros"  # "zeros" | "gaussian"

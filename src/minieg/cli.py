@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank = sub.add_parser("rank-trace", help="instrument coordinate selection quality")
     _add_problem_flags(rank)
     _add_solver_flags(rank)
-    rank.add_argument("--method", choices=["gmini", "rmini", "wmax"], default="wmax")
+    rank.add_argument("--method", choices=[m for m in METHOD_IDS if m != "eg"], default="wmax")
     rank.add_argument(
         "--diagnostics",
         action="store_true",

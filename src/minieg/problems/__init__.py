@@ -1,30 +1,11 @@
 """Benchmark problem families exposing the monotone-mapping contract."""
 
-from .affine import AffineMonotoneProblem, random_spd_affine, skew_rotation_problem
-from .lasso import (
-    CSInstanceMeta,
-    CSProblem,
-    build_cs_instance,
-    load_instance,
-    save_instance,
-)
-from .libsvm import LibsvmParseError, load_libsvm
-from .logreg import LogRegProblem, synthetic_logreg
-from .spectral import SpectralEstimate, estimate_lambda_max
+# Each public name is declared once, in the ``__all__`` of the module that defines it.
+from . import affine, lasso, libsvm, logreg, spectral
+from .affine import *
+from .lasso import *
+from .libsvm import *
+from .logreg import *
+from .spectral import *
 
-__all__ = [
-    "AffineMonotoneProblem",
-    "random_spd_affine",
-    "skew_rotation_problem",
-    "CSInstanceMeta",
-    "CSProblem",
-    "build_cs_instance",
-    "load_instance",
-    "save_instance",
-    "LibsvmParseError",
-    "load_libsvm",
-    "LogRegProblem",
-    "synthetic_logreg",
-    "SpectralEstimate",
-    "estimate_lambda_max",
-]
+__all__ = [*affine.__all__, *lasso.__all__, *libsvm.__all__, *logreg.__all__, *spectral.__all__]

@@ -284,7 +284,8 @@ def build_cs_instance(
     ``reg_scale * ||A^T b||_inf`` rule. An ``snr_db`` of +inf builds a
     noiseless instance; one whose noise scale ``10 ** (snr_db / 20)`` is not a
     positive finite float (NaN, -inf, below about -6472 dB or above about
-    6165 dB) is rejected.
+    6165 dB) is rejected, and so is one so low that the scaled noise or its
+    norm would overflow (below about -3080 dB for a signal of unit norm).
     """
     try:
         noise_scale_ok = _is_real(snr_db) and (
@@ -310,16 +311,18 @@ def build_cs_instance(
     noise = gen.standard_normal(n_measurements)
     target = float(np.linalg.norm(clean)) / 10.0 ** (snr_db / 20.0)
     norm_noise = float(np.linalg.norm(noise))
-    if norm_noise > 0 and target > 0:
-        noise *= target / norm_noise
-    else:
-        noise[:] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite noise is rejected below
+        if norm_noise > 0 and target > 0:
+            noise *= target / norm_noise
+        else:
+            noise[:] = 0.0
+        scaled_norm = np.linalg.norm(noise)
+    if not np.isfinite(scaled_norm):
+        raise ConfigurationError(
+            f"snr_db={snr_db!r} is too low: the noise scaled to it, or its norm, is not finite"
+        )
     b = clean + noise
-    realized = (
-        20.0 * np.log10(np.linalg.norm(clean) / np.linalg.norm(noise))
-        if np.linalg.norm(noise) > 0
-        else np.inf
-    )
+    realized = 20.0 * np.log10(np.linalg.norm(clean) / scaled_norm) if scaled_norm > 0 else np.inf
     atb = A.T @ b
     meta = CSInstanceMeta(
         n=n,

@@ -213,22 +213,24 @@ class LogRegSession(EvaluationSession):
 
     When the problem keeps ``K = A^T A``, the session also keeps two anchors
     with their margins: the point of the last ``set_point`` (or of the
-    opening) and the one before it, dropped by an exact rebuild.
+    opening) and the one before it; an exact rebuild makes its point both.
     ``set_point(x, step)`` then updates the margins in ``O(N^2)`` for the
     step ``x = anchor - step * F(current)``, with ``F(current)`` the full read
     kept since the last move:
 
         z(x) = z(anchor) - step * (K w + reg * z(current)),
 
-    with ``w`` the current sample weights. The session first checks that
-    ``x`` holds exactly the bytes of ``anchor - step * F(current)`` for the
-    last anchor, then for the one before, computed as the solver loop
-    computes it; a coordinate step matches the last anchor, and an
-    extragradient step ``x_k - beta * F(y_k)`` the one before, its probe
-    point ``y_k`` being the last. A point moved by anything else (a
-    projection that is not the identity, say) is rebuilt exactly, and so is
-    every ``_EXACT_EVERY``-th update in a row. After an update the last
-    anchor becomes the one before, and ``x`` the last.
+    with ``w`` the current sample weights. The session checks that ``x``
+    holds exactly the bytes of ``anchor - step * F(current)``, computed as
+    the solver loop computes it, first for the anchor that the update two
+    moves back stepped from, then for the other one. A coordinate step
+    matches the last anchor, and an extragradient step ``x_k - beta * F(y_k)``
+    the one before, its probe point ``y_k`` being the last; so once the
+    pattern has run for two updates, each check passes at the first try. A
+    point moved by anything else (a projection that is not the identity,
+    say) is rebuilt exactly, and so is every ``_EXACT_EVERY``-th update in a
+    row. After an update the last anchor becomes the one before, and ``x``
+    the last.
     """
 
     _problem: LogRegProblem
@@ -240,11 +242,9 @@ class LogRegSession(EvaluationSession):
         self._z = np.empty(N)  # A^T x
         self._w = np.empty(N)
         if problem._K is not None:
-            # The last anchor, the one before it and a free buffer, with margins.
-            self._anchor, self._previous, self._candidate = np.empty((3, n))
-            self._z_anchor, self._z_previous, self._change = np.empty((3, N))
-            self._has_previous = False
-            self._updates = 0  # Gram updates since the last exact rebuild
+            # (point, margins) of the last anchor, of the one before it and a free pair.
+            self._anchors = [(np.empty(n), np.empty(N)) for _ in range(3)]
+            self._stepped_from = (0, 0)  # the anchors of the last two updates, older first
         super().__init__(problem, x0, ledger)
 
     def set_point(self, x: np.ndarray, step: float | None = None) -> None:
@@ -256,30 +256,28 @@ class LogRegSession(EvaluationSession):
         # anchor - step * F: the move drops the kept F either way, and a
         # failed check rebuilds, so F's buffer holds step * F.
         stepped = np.multiply(self._full, step, out=self._full)
-        candidate = np.subtract(self._anchor, stepped, out=self._candidate)
+        candidate, change = self._anchors[2]  # the free pair; its margins hold the change first
         target = x.tobytes()
-        if candidate.tobytes() == target:
-            z_from = self._z_anchor
-        elif (self._has_previous
-              and np.subtract(self._previous, stepped, out=candidate).tobytes() == target):
-            z_from = self._z_previous
+        first = self._stepped_from[0]
+        for slot in (first, 1 - first):
+            anchor, z_from = self._anchors[slot]
+            if np.subtract(anchor, stepped, out=candidate).tobytes() == target:
+                break
         else:
             return super().set_point(x)
         self._full = None
+        self._stepped_from = (self._stepped_from[1], slot)
         np.copyto(self._x, candidate)
-        change = np.matmul(p._K, self._w, out=self._change)
+        np.matmul(p._K, self._w, out=change)
         # reg * z(current) can take z's buffer: z(x) overwrites it next.
         np.add(change, np.multiply(self._z, p._reg, out=self._z), out=change)
         np.multiply(change, step, out=change)
         np.subtract(z_from, change, out=self._z)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
-        # The last anchor becomes the one before, x the last; the buffers of
-        # the one before are free, whichever anchor x stepped from.
-        free = self._z_previous
-        np.copyto(free, self._z)
-        self._z_previous, self._z_anchor = self._z_anchor, free
-        self._previous, self._anchor, self._candidate = self._anchor, candidate, self._previous
-        self._has_previous = True
+        # The free pair now holds x and z(x) and becomes the last anchor; the
+        # pair of the anchor before the last is free.
+        np.copyto(change, self._z)
+        self._anchors.insert(0, self._anchors.pop())
         self._updates += 1
 
     def _row(self, i: int):
@@ -295,10 +293,10 @@ class LogRegSession(EvaluationSession):
         np.copyto(self._z, p._At @ self._x)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
         if p._K is not None:
-            np.copyto(self._anchor, self._x)
-            np.copyto(self._z_anchor, self._z)
-            self._has_previous = False
-            self._updates = 0
+            for anchor, z in self._anchors[:2]:
+                np.copyto(anchor, self._x)
+                np.copyto(z, self._z)
+            self._updates = 0  # Gram updates since the last exact rebuild
 
     def _shift(self, i: int, delta: float) -> None:
         p = self._problem

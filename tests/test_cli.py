@@ -390,3 +390,15 @@ def test_an_snr_without_a_noise_scale_exits_with_an_error(snr, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error:") and "snr_db" in captured.err
+
+
+def test_gen_cs_with_an_snr_whose_noise_overflows_exits_with_an_error(tmp_path, capsys):
+    out = tmp_path / "instance.npz"
+    code = main([
+        "gen-cs", "--n", "24", "--measurements", "8", "--sparsity", "2",
+        "--seed", "1", "--snr-db", "-6000", "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "snr_db" in captured.err
+    assert not out.exists()

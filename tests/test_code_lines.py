@@ -57,3 +57,19 @@ def test_a_file_without_docstrings(tmp_path, capsys):
         f"{path}: 3 code lines, 0 docstring lines",
         "total: 6 code lines, 0 docstring lines",
     ]
+
+
+def test_a_directory_counts_its_python_files_recursively_in_sorted_order(tmp_path, capsys):
+    (tmp_path / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "pkg" / "sub" / "deep.py").write_text("x = 1\n")
+    (tmp_path / "pkg" / "b.py").write_text('"""Doc."""\ny = 2\n')
+    (tmp_path / "pkg" / "a.py").write_text("z = 3\nw = 4\n")
+    (tmp_path / "pkg" / "notes.txt").write_text("not python\n")
+    root = tmp_path / "pkg"
+    assert code_lines.main([str(root)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{root / 'a.py'}: 2 code lines, 0 docstring lines",
+        f"{root / 'b.py'}: 1 code lines, 1 docstring lines",
+        f"{root / 'sub' / 'deep.py'}: 1 code lines, 0 docstring lines",
+        "total: 4 code lines, 1 docstring lines",
+    ]

@@ -260,6 +260,13 @@ def test_nan_snr_is_rejected_and_infinite_snr_builds_a_noiseless_instance():
         np.testing.assert_array_equal(problem.measurements, problem.sensing @ problem.x_true)
 
 
+@pytest.mark.parametrize("snr_db", [-6000.0, -6400.0])
+def test_snr_whose_noise_overflows_is_rejected(snr_db):
+    # -6000 dB: the noise norm overflows; -6400 dB: the scaled noise itself does.
+    with pytest.raises(ConfigurationError, match="snr_db"):
+        build_cs_instance(24, 8, 2, seed=1, snr_db=snr_db)
+
+
 @pytest.mark.parametrize("snr_db", [-600.0, 600.0, 600])
 def test_large_finite_snr_still_builds(snr_db):
     problem = build_cs_instance(24, 8, 2, snr_db=snr_db, seed=1)

@@ -404,6 +404,30 @@ def test_eg_pairs_take_the_gram_update_from_either_anchor(layout):
 
 
 @pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_eg_pairs_build_one_candidate_per_move(layout, monkeypatch):
+    # A candidate anchor - step * F is a point-sized subtract into a buffer.
+    problem = GRAM_LAYOUTS[layout]()
+    candidates = []
+    subtract = np.subtract
+
+    def counting_subtract(a, b, out=None, **kwargs):
+        if out is not None and out.shape == (problem.dim,):
+            candidates.append(None)
+        return subtract(a, b, out=out, **kwargs)
+
+    gen = seeded_generator(26, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    anchor = _eg_pair(session, gen, session.point.copy())  # the pattern starts
+    monkeypatch.setattr(np, "subtract", counting_subtract)
+    for _ in range(4):
+        anchor = _eg_pair(session, gen, anchor)
+        assert session.point.tobytes() == anchor.tobytes()
+    assert len(candidates) == 8  # one per probe and one per step
+    assert rebuilds == []
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
 def test_a_step_from_an_anchor_the_session_no_longer_keeps_rebuilds(layout):
     problem = GRAM_LAYOUTS[layout]()
     gen = seeded_generator(25, STREAM_SOLVER)
