@@ -32,7 +32,10 @@ settings, each side's ``env`` line (machine, library versions, BLAS
 threads), every pair's readings and the verdict table.
 
 Only the standard library is used. The exit code is 1 as soon as any run
-prints ``"correct": false`` or no result line, and 0 otherwise.
+prints ``"correct": false`` or no result line, and 0 otherwise. Such a run
+is reported before the script exits: its exit code, every ``FAILED`` line
+it printed and the last lines of its standard error, which ``--out`` also
+writes into the record, under ``failure``.
 """
 
 from __future__ import annotations
@@ -43,8 +46,10 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+STDERR_LINES = 20  # how much of a failed run's standard error is kept
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -80,9 +85,17 @@ def verdict(parent: list[float], change: list[float], bound: float, better: str)
     return "within bound", wins
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict] | None:
+class FailedRun(NamedTuple):
+    """What a run without a correct result left behind."""
+
+    returncode: int
+    failed: list[str]  # the ``FAILED <method> seed <s>: <reason>`` lines, in order
+    stderr: list[str]  # the last STDERR_LINES lines of standard error
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict] | FailedRun:
     """The result line and the ``env`` line of one untraced benchmark run, or
-    None when the result line is missing or incorrect."""
+    a :class:`FailedRun` when the result line is missing or incorrect."""
     command = [sys.executable, "benchmarks/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
@@ -90,9 +103,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return None
-    env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
-    return (result, env) if result.get("correct") is True else None
+        result = {}
+    if isinstance(result, dict) and result.get("correct") is True:
+        env = next((json.loads(line[4:]) for line in lines if line.startswith("env ")), {})
+        return result, env
+    return FailedRun(done.returncode, [line for line in lines if line.startswith("FAILED ")],
+                     done.stderr.splitlines()[-STDERR_LINES:])
 
 
 def judge(readings: dict[str, dict[str, list[float]]], metrics: list[dict]) -> list[dict]:
@@ -115,14 +131,18 @@ def judge(readings: dict[str, dict[str, list[float]]], metrics: list[dict]) -> l
     return rows
 
 
-def write_record(path: Path, settings: dict, env: dict, workloads: dict) -> None:
+def write_record(path: Path, settings: dict, env: dict, workloads: dict,
+                 failure: dict | None = None) -> None:
     """Write the evidence of a comparison as one JSON document.
 
     ``settings`` holds the run settings, ``env`` each side's ``env`` line and
     ``workloads`` maps a workload to its ``readings`` and ``verdicts`` (the
-    rows of :func:`judge`).
+    rows of :func:`judge`; a workload cut short by a failed run has no
+    verdicts). ``failure``, when given, describes that run.
     """
     record = {"format": "bench-pairs-v1", "settings": settings, "env": env, "workloads": workloads}
+    if failure is not None:
+        record["failure"] = failure
     Path(path).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
 
 
@@ -142,6 +162,8 @@ def main(argv=None) -> int:
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    settings = {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+                "workloads": workloads}
     env: dict[str, dict] = {}
     record: dict[str, dict] = {}
     for workload in workloads:
@@ -149,8 +171,19 @@ def main(argv=None) -> int:
         for k in range(args.pairs):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 run = run_once(sides[side], workload, args.seed, args.seconds)
-                if run is None:
-                    print(f"{workload} pair {k} {side}: no correct result", flush=True)
+                if isinstance(run, FailedRun):
+                    print(f"{workload} pair {k} {side}: no correct result, exit code {run.returncode}")
+                    for line in run.failed:
+                        print(f"  {line}")
+                    print(f"  last {len(run.stderr)} lines of stderr:")
+                    for line in run.stderr:
+                        print(f"    {line}")
+                    if args.out is not None:
+                        record[workload] = {"readings": readings}
+                        failure = {"workload": workload, "pair": k, "side": side, **run._asdict()}
+                        write_record(args.out, settings, env, record, failure)
+                        print(f"wrote {args.out}")
+                    sys.stdout.flush()
                     return 1
                 result, env[side] = run
                 values = {name: result["metrics"][name]["value"] for name in readings[side]}
@@ -169,8 +202,6 @@ def main(argv=None) -> int:
                   f"{row['wins']:>3}/{args.pairs:<2}  {row['verdict']}")
         print(flush=True)
     if args.out is not None:
-        settings = {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-                    "workloads": workloads}
         write_record(args.out, settings, env, record)
         print(f"wrote {args.out}")
     return 0

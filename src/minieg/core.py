@@ -126,7 +126,13 @@ class CostLedger:
 
 
 class Projection(ABC):
-    """Euclidean projection onto a closed convex set."""
+    """Euclidean projection onto a closed convex set.
+
+    A projection returns a new array or its argument unchanged, and never
+    writes into its argument: a session's step hands it a read-only view of
+    the candidate point, and a session may update its cache along the move
+    only when that very view comes back.
+    """
 
     @abstractmethod
     def __call__(self, x: np.ndarray) -> np.ndarray: ...
@@ -170,6 +176,17 @@ def weighted_norm(x: np.ndarray, weights: np.ndarray) -> float:
     if np.any(w < 0):
         raise ConfigurationError("weighted_norm requires nonnegative weights")
     return float(np.sqrt(np.dot(w, x * x)))
+
+
+def _same_bytes(a, b: np.ndarray) -> bool:
+    """Whether ``a`` holds exactly the float64 bytes of ``b``.
+
+    -0.0 and 0.0 differ, and a NaN equals itself. Comparing two ``tobytes``
+    copies runs as one ``memcmp``, several times faster than comparing
+    memoryviews item by item.
+    """
+    a = np.asarray(a, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +261,29 @@ class EvaluationSession(ABC):
     * ``eval_full()`` charges one full evaluation,
     * ``eval_component(i)`` charges ``1/n`` of one.
 
-    ``set_point`` rebuilds the cache from scratch; ``shift_coordinate``
-    performs the incremental update that makes single-coordinate methods
-    cheap. Subclasses implement the four ``_``-prefixed hooks.
+    The session also keeps the committed point, its ``anchor``, and makes
+    the solver's two moves itself, with ``F`` the full read kept at the
+    current point:
+
+    * ``probe(scale)`` moves to ``anchor - scale * F`` and keeps the anchor
+      (eg's probe, made at the anchor);
+    * ``step(beta, projection)`` commits ``projection(anchor - beta * F)``,
+      which becomes the new anchor.
+
+    ``set_point`` moves to a point, rebuilds the cache from scratch and makes
+    the point the anchor; ``shift_coordinate`` performs the incremental
+    update that makes single-coordinate methods cheap and keeps the anchor.
+    This class makes both solver moves with the solver loop's arithmetic,
+    operation for operation, and then moves through ``set_point``; a backend
+    may override ``probe`` and ``_commit`` to update its cache along the move
+    instead. Subclasses implement the four backend hooks (``_rebuild``,
+    ``_shift``, ``_compute_full`` and ``_compute_component``).
 
     ``eval_full`` keeps the last ``F`` it computed until the next shift or
     rebuild, so a repeated read at a point that has not moved costs a copy;
-    it is charged all the same. ``set_point`` always rebuilds: a caller
-    that knows the point has not moved (the solver loop after a zero step)
-    skips the call.
+    it is charged all the same. ``set_point`` always rebuilds; a ``step``
+    that an unmoved session takes with ``beta == 0`` and whose projection
+    keeps the anchor's bytes stays where it is and rebuilds nothing.
     """
 
     def __init__(self, problem: MonotoneMapping, x0: np.ndarray, ledger: CostLedger) -> None:
@@ -263,6 +294,11 @@ class EvaluationSession(ABC):
         self._problem = problem
         self._ledger = ledger
         self._x = problem._check_point(x0).copy()
+        self._anchor = self._x.copy()
+        self._at_anchor = True  # no shift or probe since the anchor was set
+        self._move = np.empty_like(self._x)  # the candidate of a probe or a step
+        self._candidate = self._move.view()  # the step's candidate, as projections see it
+        self._candidate.flags.writeable = False
         self._rebuild()
         self._full: np.ndarray | None = None  # F at _x once computed, until the next move
 
@@ -281,26 +317,61 @@ class EvaluationSession(ABC):
         """The current point. Treat as read-only; copy before storing."""
         return self._x
 
-    def set_point(self, x: np.ndarray, step: float | None = None) -> None:
-        """Move to ``x`` and rebuild the backend cache. Not charged.
+    @property
+    def anchor(self) -> np.ndarray:
+        """The committed point: that of the last ``set_point`` or ``step``, or
+        the opening one. Treat as read-only; copy before storing."""
+        return self._anchor
 
-        ``step`` is an optional hint: the caller computed ``x`` as
-        ``anchor - step * F``, with ``anchor`` the point of the last
-        ``set_point`` or of the one before it (the opening counts as one)
-        and ``F`` the last full read. A backend may use it to update its
-        cache instead of rebuilding, once it has checked the claim; this one
-        ignores it.
-        """
+    def set_point(self, x: np.ndarray) -> None:
+        """Move to ``x``, rebuild the backend cache and make ``x`` the anchor. Not charged."""
         x = self._problem._check_point(x)
         self._full = None
         self._x[:] = x
+        np.copyto(self._anchor, self._x)
+        self._at_anchor = True
         self._rebuild()
 
     def shift_coordinate(self, i: int, delta: float) -> None:
         """Add ``delta`` to coordinate ``i``, updating the cache incrementally."""
         self._full = None
+        self._at_anchor = False
         self._x[i] += delta
         self._shift(i, float(delta))
+
+    def probe(self, scale: float) -> None:
+        """Move to ``anchor - scale * F`` and keep the anchor. Not charged."""
+        y = self._stepped(scale)
+        # set_point makes its point the anchor: let it copy y onto y's own buffer.
+        anchor, self._anchor = self._anchor, y
+        self.set_point(y)
+        self._anchor, self._at_anchor = anchor, False
+
+    def step(self, beta: float, projection: Projection) -> bool:
+        """Commit ``projection(anchor - beta * F)`` as the point and the anchor. Not charged.
+
+        The projection gets a read-only view of the candidate. Returns
+        False, and moves nothing, when the session has not moved since the
+        anchor was set, ``beta == 0`` and the projection keeps the anchor's
+        exact bytes; True otherwise.
+        """
+        self._stepped(beta)
+        x = projection(self._candidate)
+        if self._at_anchor and beta == 0.0 and _same_bytes(x, self._anchor):
+            return False
+        self._commit(x, beta)
+        return True
+
+    def _stepped(self, scale: float) -> np.ndarray:
+        """``anchor - scale * F`` in the move buffer, computed as the solver loop computes it."""
+        if self._full is None:
+            raise RuntimeError("a move steps along the full read at the current point; read it first")
+        return np.subtract(self._anchor, np.multiply(self._full, scale, out=self._move), out=self._move)
+
+    def _commit(self, x: np.ndarray, beta: float) -> None:
+        """Make ``x``, the projection of ``anchor - beta * F``, the point and the
+        anchor. ``x is self._candidate`` when the projection kept the candidate."""
+        self.set_point(x)
 
     # -- charged reads ---------------------------------------------------------
 

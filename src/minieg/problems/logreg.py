@@ -21,10 +21,8 @@ With fewer samples than the design stores entries per sample (``N < n``
 dense, ``N * N < nnz`` sparse), the problem also keeps the sample-space Gram
 matrix ``K = A^T A`` (``N x N``, dense). The power iteration behind the
 global constant then runs on ``K``, and a session moved by a solver step
-updates its margins in ``O(N^2)`` instead of rebuilding them in ``O(nN)``.
-It keeps the points of its last two moves for that: a coordinate step and
-an extragradient probe start from the last, an extragradient step from the
-one before (see :class:`LogRegSession`).
+updates its margins in ``O(N^2)`` instead of rebuilding them in ``O(nN)``
+(see :class:`LogRegSession`).
 """
 
 from __future__ import annotations
@@ -182,11 +180,9 @@ class LogRegProblem(MonotoneMapping):
         return LogRegSession(self, x0, ledger)
 
 
-_ALL_SAMPLES = slice(None)
-
 # A session with a Gram matrix rebuilds its margins exactly at every
-# _EXACT_EVERY-th step update, so the rounding of the O(N^2) updates between
-# them cannot pile up.
+# _EXACT_EVERY-th update in a row, probe or step, so the rounding of the
+# O(N^2) updates between them cannot pile up.
 _EXACT_EVERY = 64
 
 
@@ -211,26 +207,18 @@ class LogRegSession(EvaluationSession):
     sign: the weights, ``F`` and every trace have the bits they would have
     with signed margins ``m = b * z`` cached instead.
 
-    When the problem keeps ``K = A^T A``, the session also keeps two anchors
-    with their margins: the point of the last ``set_point`` (or of the
-    opening) and the one before it; an exact rebuild makes its point both.
-    ``set_point(x, step)`` then updates the margins in ``O(N^2)`` for the
-    step ``x = anchor - step * F(current)``, with ``F(current)`` the full read
-    kept since the last move:
+    When the problem keeps ``K = A^T A``, the session also keeps the margins
+    of its anchor, and its probe and step update the margins in ``O(N^2)``
+    along the move ``x = anchor - s * F(current)`` they make:
 
-        z(x) = z(anchor) - step * (K w + reg * z(current)),
+        z(x) = z(anchor) - s * (K w + reg * z(current)),
 
-    with ``w`` the current sample weights. The session checks that ``x``
-    holds exactly the bytes of ``anchor - step * F(current)``, computed as
-    the solver loop computes it, first for the anchor that the update two
-    moves back stepped from, then for the other one. A coordinate step
-    matches the last anchor, and an extragradient step ``x_k - beta * F(y_k)``
-    the one before, its probe point ``y_k`` being the last; so once the
-    pattern has run for two updates, each check passes at the first try. A
-    point moved by anything else (a projection that is not the identity,
-    say) is rebuilt exactly, and so is every ``_EXACT_EVERY``-th update in a
-    row. After an update the last anchor becomes the one before, and ``x``
-    the last.
+    with ``w`` the current sample weights. A step takes the update only when
+    the projection hands back the candidate ``anchor - beta * F`` itself;
+    any other point goes to ``set_point`` and is rebuilt exactly. So is every
+    ``_EXACT_EVERY``-th update in a row, probes included. A probe rebuilt
+    that way loses the anchor's margins, so the step after it is rebuilt
+    exactly as well.
     """
 
     _problem: LogRegProblem
@@ -241,69 +229,62 @@ class LogRegSession(EvaluationSession):
         self._ridge = np.empty(n)  # reg * x
         self._z = np.empty(N)  # A^T x
         self._w = np.empty(N)
-        if problem._K is not None:
-            # (point, margins) of the last anchor, of the one before it and a free pair.
-            self._anchors = [(np.empty(n), np.empty(N)) for _ in range(3)]
-            self._stepped_from = (0, 0)  # the anchors of the last two updates, older first
+        self._dz = np.empty(N)  # a shift's or an update's change of z
+        self._anchor_z = np.empty(N)  # A^T anchor, read only with a Gram matrix
         super().__init__(problem, x0, ledger)
 
-    def set_point(self, x: np.ndarray, step: float | None = None) -> None:
-        p = self._problem
-        if (step is None or p._K is None or self._full is None
-                or self._updates == _EXACT_EVERY - 1):
-            return super().set_point(x)
-        x = p._check_point(x)
-        # anchor - step * F: the move drops the kept F either way, and a
-        # failed check rebuilds, so F's buffer holds step * F.
-        stepped = np.multiply(self._full, step, out=self._full)
-        candidate, change = self._anchors[2]  # the free pair; its margins hold the change first
-        target = x.tobytes()
-        first = self._stepped_from[0]
-        for slot in (first, 1 - first):
-            anchor, z_from = self._anchors[slot]
-            if np.subtract(anchor, stepped, out=candidate).tobytes() == target:
-                break
+    def probe(self, scale: float) -> None:
+        if self._gram_due():
+            self._update(self._stepped(scale), scale)
         else:
-            return super().set_point(x)
-        self._full = None
-        self._stepped_from = (self._stepped_from[1], slot)
-        np.copyto(self._x, candidate)
-        np.matmul(p._K, self._w, out=change)
+            super().probe(scale)
+            # y's rebuild overwrote the anchor's margins: the next move rebuilds too.
+            self._updates = _EXACT_EVERY - 1
+
+    def _commit(self, x: np.ndarray, beta: float) -> None:
+        if x is not self._candidate or not self._gram_due():
+            return self.set_point(x)
+        self._update(x, beta)
+        np.copyto(self._anchor, self._x)
+        np.copyto(self._anchor_z, self._z)
+        self._at_anchor = True
+
+    def _gram_due(self) -> bool:
+        """Whether the next move takes the Gram update rather than an exact rebuild."""
+        return self._problem._K is not None and self._updates < _EXACT_EVERY - 1
+
+    def _update(self, x: np.ndarray, step: float) -> None:
+        """Move to ``x = anchor - step * F(current)``, updating the margins through ``K``."""
+        p = self._problem
+        self._full, self._at_anchor = None, False
+        np.copyto(self._x, x)
+        change = np.matmul(p._K, self._w, out=self._dz)
         # reg * z(current) can take z's buffer: z(x) overwrites it next.
         np.add(change, np.multiply(self._z, p._reg, out=self._z), out=change)
         np.multiply(change, step, out=change)
-        np.subtract(z_from, change, out=self._z)
+        np.subtract(self._anchor_z, change, out=self._z)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
-        # The free pair now holds x and z(x) and becomes the last anchor; the
-        # pair of the anchor before the last is free.
-        np.copyto(change, self._z)
-        self._anchors.insert(0, self._anchors.pop())
         self._updates += 1
-
-    def _row(self, i: int):
-        """Feature ``i`` as ``(sample indices, values)``; the indices are a slice when dense."""
-        A = self._problem._A
-        if not self._problem._sparse:
-            return _ALL_SAMPLES, A[i]
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        return A.indices[lo:hi], A.data[lo:hi]
 
     def _rebuild(self) -> None:
         p = self._problem
         np.copyto(self._z, p._At @ self._x)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
-        if p._K is not None:
-            for anchor, z in self._anchors[:2]:
-                np.copyto(anchor, self._x)
-                np.copyto(z, self._z)
-            self._updates = 0  # Gram updates since the last exact rebuild
+        np.copyto(self._anchor_z, self._z)
+        self._updates = 0  # Gram updates since the last exact rebuild
+
+    # A dense row spans every sample, so a dense shift or read works on whole
+    # buffers; a sparse one gathers the row's samples.
 
     def _shift(self, i: int, delta: float) -> None:
-        p = self._problem
-        idx, values = self._row(i)
-        if values.size == 0:
+        p, A = self._problem, self._problem._A
+        if not p._sparse:
+            np.add(self._z, np.multiply(A[i], delta, out=self._dz), out=self._z)
+            _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
             return
-        z = self._z[idx] + values * delta
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        idx = A.indices[lo:hi]
+        z = self._z[idx] + A.data[lo:hi] * delta
         self._z[idx] = z
         self._w[idx] = _sample_weights(z, p._nb[idx], p._nb_n[idx], out=z)
 
@@ -315,10 +296,11 @@ class LogRegSession(EvaluationSession):
         return np.add(product, self._ridge, out=self._f)
 
     def _compute_component(self, i: int) -> float:
-        p = self._problem
-        idx, values = self._row(i)
-        acc = float(np.dot(values, self._w[idx]))
-        return acc + p._reg * float(self._x[i])
+        p, A = self._problem, self._problem._A
+        if not p._sparse:
+            return float(np.dot(A[i], self._w)) + p._reg * self._x.item(i)
+        lo, hi = A.indptr[i], A.indptr[i + 1]
+        return float(np.dot(A.data[lo:hi], self._w[A.indices[lo:hi]])) + p._reg * self._x.item(i)
 
 
 def synthetic_logreg(

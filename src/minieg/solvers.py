@@ -46,17 +46,17 @@ bit the same. It does so only when no callback is set and the library's
 own sampler draws, since skipped iterations are neither observed nor
 drawn through a custom sampler.
 
-Every read, shift, rebuild, projection and draw goes through the public
+The session makes the loop's moves and keeps ``x_k`` as its ``anchor``:
+eg's probe is ``session.probe(rho/L)`` and every step is
+``session.step(beta, projection)``, which the session computes as
+``projection(x_k - beta F(y_k))`` from the full read it keeps at ``y_k``. A
+session can therefore update its cache along a move it makes itself
+instead of rebuilding; the base session rebuilds through ``set_point``.
+Every read, shift, move, projection and draw goes through the public
 session methods (``eval_full``, ``eval_component``, ``shift_coordinate``,
-``set_point``), the projection's ``__call__`` and the sampler, which the
-benchmark traces; only a fast-forward charges reads (its skipped full ones)
-without making them. Each ``set_point`` the loop makes carries its step
-size as a hint (``set_point(x_k - beta F(y_k), beta)``, and eg's probe
-``set_point(y_k, rho/L)``), passed positionally so that wrappers forwarding
-``*args`` keep it; a session may use it to update its cache instead of
-rebuilding. The loop keeps ``x_k`` and ``x_k - beta F(y_k)`` in two vectors
-reused every iteration, builds eg's probe point in the second, and copies
-only what it reports.
+``probe``, ``step``), the projection's ``__call__`` and the sampler, which
+the benchmark traces; only a fast-forward charges reads (its skipped full
+ones) without making them. The loop copies only what it reports.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .core import (
     STREAM_SOLVER,
     _is_integer,
     _is_real,
+    _same_bytes,
     seeded_generator,
 )
 
@@ -283,17 +284,14 @@ class _Run:
     gen: np.random.Generator
     sampler: IndexSampler | None
     scale: float | None  # eg's probe step rho / L
-    scratch: np.ndarray  # the loop's step vector, free while a probe runs
     reference: int | None = None  # wmax's remembered coordinate
     ahead: tuple[int, float] | None = None  # rmini's next (i, F_i(x)), read by a fast-forward
 
 
 def _probe_eg(run: _Run):
     """Full probe ``y = x - (rho/L) F(x)``: one full evaluation."""
-    session, y = run.session, run.scratch
-    f_x = session.eval_full()
-    np.subtract(session.point, np.multiply(f_x, run.scale, out=y), out=y)
-    session.set_point(y, run.scale)
+    f_x = run.session.eval_full()
+    run.session.probe(run.scale)
     return None, None, {"f_x": f_x}
 
 
@@ -396,17 +394,6 @@ def method_display_name(method: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _same_bytes(a, b: np.ndarray) -> bool:
-    """Whether ``a`` holds exactly the float64 bytes of ``b``.
-
-    -0.0 and 0.0 differ, and a NaN equals itself. Comparing two ``tobytes``
-    copies runs as one ``memcmp``, several times faster than comparing
-    memoryviews item by item.
-    """
-    a = np.asarray(a, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
 def run_solver(
     problem: MonotoneMapping,
     method: str,
@@ -465,8 +452,8 @@ def run_solver(
     _, probe, start = _METHODS[method]
     ledger = CostLedger(problem.dim)
     session = problem.open_session(x0, ledger)
-    x, step = np.empty(problem.dim), np.empty(problem.dim)  # x_k and x_k - beta F(y_k)
-    run = _Run(session, seeded_generator(cfg.seed, STREAM_SOLVER), index_sampler, scale, step)
+    diff = np.empty(problem.dim)  # x_k - y_k, for eg's step size
+    run = _Run(session, seeded_generator(cfg.seed, STREAM_SOLVER), index_sampler, scale)
 
     rho, tolerance, last_k = cfg.rho, cfg.tolerance, cfg.max_iterations - 1
 
@@ -480,13 +467,12 @@ def run_solver(
 
     k = 0
     while k < iterations:
-        np.copyto(x, session.point)
+        x = session.anchor  # x_k, until the step moves it
+        x_seen = x.copy() if callback is not None else None
         i, f_x_i, seen = probe(run)
-        moved = i is None  # eg's probe moves the session to y itself
-        if not moved:
+        if i is not None:  # eg's probe moves the session to y itself
             delta = -(rho / l_list[i]) * f_x_i
-            moved = delta != 0.0
-            if moved:
+            if delta != 0.0:
                 session.shift_coordinate(i, delta)
         f_y = session.eval_full()
         norm_sq = float(np.dot(f_y, f_y))
@@ -495,7 +481,7 @@ def run_solver(
         # The probe point is copied only where it is reported.
         y = session.point.copy() if converged or k == last_k or callback is not None else None
 
-        beta, x_next = 0.0, None
+        beta = 0.0
         if not converged:
             if not math.isfinite(residual):
                 status, iterations = RunStatus.NON_FINITE_RESIDUAL, k
@@ -504,7 +490,7 @@ def run_solver(
             # The step size <F(y), x - y> / ||F(y)||^2, read along e_i after a
             # coordinate probe; norm_sq > 0 here, as the tolerance is positive.
             if i is None:
-                product = float(np.dot(f_y, np.subtract(x, session.point, out=step)))
+                product = float(np.dot(f_y, np.subtract(x, session.point, out=diff)))
             else:
                 product = f_y.item(i) * f_x_i
             if product < 0.0:  # report the iterate the failing step started from
@@ -513,21 +499,17 @@ def run_solver(
                 final_point = x.copy()
                 break
             beta = product / norm_sq if i is None else rho * product / (l_list[i] * norm_sq)
-            np.multiply(f_y, beta, out=step)
-            x_next = proj(np.subtract(x, step, out=step))
-            # An unmoved session still holds the rebuild of x's bytes, so a
-            # zero step that keeps them needs no rebuild.
-            if moved or beta != 0.0 or not _same_bytes(x_next, x):
-                session.set_point(x_next, beta)  # positional, as wrappers forward *args
-            elif fast_forward and _same_bytes(x + 0.0, x):
+            # A step that keeps an unmoved session's bytes returns False and
+            # leaves the session at x, rebuilt.
+            if not session.step(beta, proj) and fast_forward and _same_bytes(x + 0.0, x):
                 # x + 0.0 turns -0.0 into 0.0 and keeps every other byte. Without
                 # -0.0 in x, every later zero step computes x's bytes too.
                 k += _skip_null_steps(run, last_k - k - 1)
 
         if callback is not None:
             callback(StepObservation(
-                k=k, x=x.copy(), y=y,
-                x_next=None if converged else np.array(x_next, dtype=float, copy=True),
+                k=k, x=x_seen, y=y,
+                x_next=None if converged else session.anchor.copy(),
                 f_y=f_y, selected_index=i, selected_value=f_x_i, beta=beta,
                 residual_y=residual, converged=converged, nf_so_far=ledger.nf, **seen,
             ))

@@ -110,3 +110,41 @@ def test_out_writes_env_readings_and_verdicts(tmp_path, monkeypatch, capsys):
     verdicts = record["workloads"]["logreg"]["verdicts"]
     assert [(v["metric"], v["wins"], v["pairs"]) for v in verdicts] == [
         ("nf_cost.eg", 2, 2), ("setup_s", 2, 2)]
+
+
+_FAILING_RUN = """\
+import sys
+for k in range(30):
+    print(f"stderr line {k}", file=sys.stderr)
+print("FAILED rmini seed 3: status iteration_cap_reached")
+print('{"correct": false}')
+sys.exit(1)
+"""
+
+
+def test_a_failed_run_reports_its_exit_code_failed_lines_and_stderr(tmp_path, monkeypatch, capsys):
+    stub = tmp_path / "parent"
+    (stub / "benchmarks").mkdir(parents=True)
+    (stub / "benchmarks" / "run.py").write_text(_FAILING_RUN)
+    failed = ["FAILED rmini seed 3: status iteration_cap_reached"]
+    stderr = [f"stderr line {k}" for k in range(10, 30)]  # the last twenty
+    assert bench_pairs.run_once(stub, "logreg", 0, 1.0) == bench_pairs.FailedRun(1, failed, stderr)
+
+    root = tmp_path / "change"
+    root.mkdir()
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "logreg"}],
+        "end_to_end": [{"name": "nf_cost.eg", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    out = tmp_path / "record.json"
+    code = bench_pairs.main(["--parent", str(stub), "--pairs", "2", "--seconds", "1",
+                             "--out", str(out)])
+    assert code == 1  # the first run, the parent's, fails; the change never runs
+    printed = capsys.readouterr().out
+    assert "logreg pair 0 parent: no correct result, exit code 1" in printed
+    assert failed[0] in printed and "stderr line 29" in printed
+    assert "stderr line 9\n" not in printed
+    record = json.loads(out.read_text())
+    assert record["failure"] == {"workload": "logreg", "pair": 0, "side": "parent",
+                                 "returncode": 1, "failed": failed, "stderr": stderr}
+    assert record["workloads"]["logreg"]["readings"]["parent"] == {"nf_cost.eg": []}

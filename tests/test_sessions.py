@@ -11,7 +11,15 @@ import pytest
 import scipy.sparse as sp
 from property_checks import sparse_twin
 
-from minieg import CostLedger, Projection, SolverConfig, run_solver, seeded_generator
+from minieg import (
+    BoxProjection,
+    CostLedger,
+    IdentityProjection,
+    Projection,
+    SolverConfig,
+    run_solver,
+    seeded_generator,
+)
 from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
 from minieg.problems import (
     AffineMonotoneProblem,
@@ -287,87 +295,75 @@ GRAM_LAYOUTS = {
 }
 
 
-def _hinted_step(session, gen, anchor, shift):
-    """Move as the solver loop does: an optional coordinate probe, a full read,
-    then ``x_next = anchor - beta * F`` handed over with its step size."""
+MOVERS = {**BACKENDS, **{f"gram-{layout}": build for layout, build in GRAM_LAYOUTS.items()}}
+
+
+def _assert_same_cache(moved, plain, gram):
+    if gram:  # the Gram update, within rounding of the rebuild
+        np.testing.assert_allclose(moved.eval_full(), plain.eval_full(), rtol=0.0, atol=1e-13)
+    else:
+        assert moved.eval_full().tobytes() == plain.eval_full().tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(MOVERS))
+def test_probe_and_step_equal_set_point_of_the_loop_point(name):
+    # The loop's arithmetic: x - scale * F(x) for eg's probe, P(x - beta * F(y)) for a step.
+    problem = MOVERS[name]()
+    gen = seeded_generator(23, STREAM_SOLVER)
+    x = np.abs(gen.standard_normal(problem.dim))
+    moved = problem.open_session(x, CostLedger(problem.dim))
+    plain = problem.open_session(x, CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(moved)
+    l_max = problem.componentwise_lipschitz.max()
+    gram = getattr(problem, "_K", None) is not None
+
+    scale = 0.5 / l_max
+    y = x - np.multiply(moved.eval_full(), scale)
+    moved.probe(scale)
+    plain.set_point(y)
+    assert moved.point.tobytes() == y.tobytes()
+    assert moved.anchor.tobytes() == x.tobytes()
+    _assert_same_cache(moved, plain, gram)
+
+    beta = 0.75 / l_max
+    x_next = problem.projection(x - np.multiply(moved.eval_full(), beta))
+    assert moved.step(beta, problem.projection) is True
+    plain.set_point(x_next)
+    assert moved.point.tobytes() == moved.anchor.tobytes() == x_next.tobytes()
+    _assert_same_cache(moved, plain, gram)
+    # The base session moves through set_point, so each move rebuilds once.
+    assert len(rebuilds) == (0 if gram else 2)
+
+
+def _coordinate_step(session, gen, shift):
+    """Move as a coordinate method does: an optional coordinate probe, a full
+    read, then the step ``anchor - beta * F``, which is returned."""
     problem = session.problem
     l = problem.componentwise_lipschitz
     if shift:
         i = int(gen.integers(0, problem.dim))
         session.shift_coordinate(i, -0.5 * session.eval_component(i) / l[i])
-    f = session.eval_full()
     beta = float(gen.uniform(0.5, 1.0)) / l.max()
-    x_next = anchor - np.multiply(f, beta)
-    session.set_point(x_next, beta)
+    x_next = session.anchor - np.multiply(session.eval_full(), beta)
+    session.step(beta, IdentityProjection())
+    assert session.point.tobytes() == session.anchor.tobytes() == x_next.tobytes()
     return x_next
 
 
-@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
-def test_gram_updates_stay_close_and_every_rth_one_rebuilds_exactly(layout):
-    problem = GRAM_LAYOUTS[layout]()
-    assert problem._K is not None
-    every = logreg._EXACT_EVERY
-    gen = seeded_generator(21, STREAM_SOLVER)
-    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
-    rebuilds = _count_rebuilds(session)
-    anchor = session.point.copy()
-    for k in range(every - 1):  # coordinate steps and full (eg-like) steps
-        anchor = _hinted_step(session, gen, anchor, shift=k % 3 != 0)
-        assert session.point.tobytes() == anchor.tobytes()
-    assert rebuilds == []  # each of them took the Gram update
-    exact = problem._At @ session.point
-    assert np.linalg.norm(session._z - exact) <= 1e-12 * np.linalg.norm(exact)
-    np.testing.assert_allclose(session.eval_full(), problem.eval_full(session.point),
-                               rtol=0.0, atol=1e-13)
-
-    anchor = _hinted_step(session, gen, anchor, shift=True)  # the R-th update
-    assert len(rebuilds) == 1
-    fresh = problem.open_session(anchor, CostLedger(problem.dim))
-    assert session._z.tobytes() == fresh._z.tobytes()
-    assert session.eval_full().tobytes() == fresh.eval_full().tobytes()
-    _hinted_step(session, gen, anchor, shift=True)  # the count starts again
-    assert len(rebuilds) == 1
-
-
-@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
-def test_a_hint_that_does_not_match_the_point_rebuilds_exactly(layout):
-    problem = GRAM_LAYOUTS[layout]()
-    gen = seeded_generator(22, STREAM_SOLVER)
-    x0 = gen.standard_normal(problem.dim)
-    session = problem.open_session(x0, CostLedger(problem.dim))
-    rebuilds = _count_rebuilds(session)
-    f = session.eval_full()
-    beta = 0.25 / problem.componentwise_lipschitz.max()
-    x_next = x0 - f * beta
-    x_next[7] = np.nextafter(x_next[7], np.inf)  # one ulp off anchor - beta * F
-    session.set_point(x_next, beta)
-    assert len(rebuilds) == 1
-    fresh = problem.open_session(x_next, CostLedger(problem.dim))
-    assert session._z.tobytes() == fresh._z.tobytes()
-    assert session.eval_full().tobytes() == fresh.eval_full().tobytes()
-
-    # Without a full read kept since the last move there is nothing to step from.
-    session.shift_coordinate(3, 0.5)
-    session.set_point(session.point - f * beta, beta)
-    assert len(rebuilds) == 2
-    # The anchor is the point of the last set_point, not the shifted one.
-    session.eval_full()
-    session.shift_coordinate(3, 0.5)
-    g = session.eval_full()
-    session.set_point(session.point - g * beta, beta)
-    assert len(rebuilds) == 3
-
-
-def _eg_pair(session, gen, x):
-    """Move as eg does from the anchor ``x``: the probe ``y = x - s * F(x)``, a
-    full read at ``y``, then the step ``x - beta * F(y)`` from the anchor
-    before the last one."""
+def _eg_pair(session, gen):
+    """Move as eg does: the probe ``y = x - s * F(x)``, a full read at ``y``,
+    then the step ``x - beta * F(y)``, which is returned."""
     l_max = session.problem.componentwise_lipschitz.max()
+    x = session.anchor.copy()
     scale = 0.5 / l_max
-    session.set_point(x - np.multiply(session.eval_full(), scale), scale)
+    y = x - np.multiply(session.eval_full(), scale)
+    session.probe(scale)
+    assert session.point.tobytes() == y.tobytes()
+    assert session.anchor.tobytes() == x.tobytes()
     beta = float(gen.uniform(0.5, 1.0)) / l_max
     x_next = x - np.multiply(session.eval_full(), beta)
-    session.set_point(x_next, beta)
+    session.step(beta, IdentityProjection())
+    assert session.point.tobytes() == session.anchor.tobytes() == x_next.tobytes()
     return x_next
 
 
@@ -377,29 +373,51 @@ def _assert_rebuilt_exactly(session, x):
     assert session.eval_full().tobytes() == fresh.eval_full().tobytes()
 
 
-@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
-def test_eg_pairs_take_the_gram_update_from_either_anchor(layout):
-    problem = GRAM_LAYOUTS[layout]()
-    gen = seeded_generator(24, STREAM_SOLVER)
-    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
-    rebuilds = _count_rebuilds(session)
-    anchor = session.point.copy()
-    for _ in range((logreg._EXACT_EVERY - 1) // 3):  # two updates per pair, one per coordinate step
-        anchor = _eg_pair(session, gen, anchor)
-        assert session.point.tobytes() == anchor.tobytes()
-        anchor = _hinted_step(session, gen, anchor, shift=True)
-    assert rebuilds == []  # every probe and every step took the Gram update
+def _assert_close_to_a_rebuild(session):
+    problem = session.problem
     exact = problem._At @ session.point
     assert np.linalg.norm(session._z - exact) <= 1e-12 * np.linalg.norm(exact)
     np.testing.assert_allclose(session.eval_full(), problem.eval_full(session.point),
                                rtol=0.0, atol=1e-13)
 
-    # The probe would be the 64th update in a row, so it rebuilds exactly. That
-    # drops the anchor before it, and the step from there rebuilds too.
-    anchor = _eg_pair(session, gen, anchor)
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_gram_updates_stay_close_and_every_rth_one_rebuilds_exactly(layout):
+    problem = GRAM_LAYOUTS[layout]()
+    assert problem._K is not None
+    gen = seeded_generator(21, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    for k in range(logreg._EXACT_EVERY - 1):  # steps with and without a coordinate probe
+        _coordinate_step(session, gen, shift=k % 3 != 0)
+    assert rebuilds == []  # each of them took the Gram update
+    _assert_close_to_a_rebuild(session)
+
+    x = _coordinate_step(session, gen, shift=True)  # the R-th update
+    assert len(rebuilds) == 1
+    _assert_rebuilt_exactly(session, x)
+    _coordinate_step(session, gen, shift=True)  # the count starts again
+    assert len(rebuilds) == 1
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_eg_pairs_take_the_gram_update_and_a_rebuilt_probe_rebuilds_its_step(layout):
+    problem = GRAM_LAYOUTS[layout]()
+    gen = seeded_generator(24, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    for _ in range((logreg._EXACT_EVERY - 1) // 3):  # two updates per pair, one per coordinate step
+        _eg_pair(session, gen)
+        _coordinate_step(session, gen, shift=True)
+    assert rebuilds == []  # every probe and every step took the Gram update
+    _assert_close_to_a_rebuild(session)
+
+    # The probe would be the 64th update in a row, so it rebuilds exactly. The
+    # anchor's margins go with it, and the step rebuilds too.
+    x = _eg_pair(session, gen)
     assert len(rebuilds) == 2
-    _assert_rebuilt_exactly(session, anchor)
-    _eg_pair(session, gen, anchor)  # the count starts again
+    _assert_rebuilt_exactly(session, x)
+    _eg_pair(session, gen)  # the count starts again
     assert len(rebuilds) == 2
 
 
@@ -418,17 +436,42 @@ def test_eg_pairs_build_one_candidate_per_move(layout, monkeypatch):
     gen = seeded_generator(26, STREAM_SOLVER)
     session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
     rebuilds = _count_rebuilds(session)
-    anchor = _eg_pair(session, gen, session.point.copy())  # the pattern starts
     monkeypatch.setattr(np, "subtract", counting_subtract)
     for _ in range(4):
-        anchor = _eg_pair(session, gen, anchor)
-        assert session.point.tobytes() == anchor.tobytes()
+        _eg_pair(session, gen)
     assert len(candidates) == 8  # one per probe and one per step
     assert rebuilds == []
 
 
+class _OneUlpUp(Projection):
+    """The identity, except that coordinate 7 moves up by one ulp, in a new array."""
+
+    def __call__(self, x):
+        x = np.array(x)
+        x[7] = np.nextafter(x[7], np.inf)
+        return x
+
+
 @pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
-def test_a_step_from_an_anchor_the_session_no_longer_keeps_rebuilds(layout):
+@pytest.mark.parametrize("projection", [BoxProjection(-0.05, 0.05), _OneUlpUp()],
+                         ids=["box", "one-ulp-up"])
+def test_a_step_the_projection_moves_rebuilds_exactly(layout, projection):
+    problem = GRAM_LAYOUTS[layout]()
+    gen = seeded_generator(22, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    rebuilds = _count_rebuilds(session)
+    _coordinate_step(session, gen, shift=True)
+    assert rebuilds == []
+    beta = 0.25 / problem.componentwise_lipschitz.max()
+    x_next = projection(session.anchor - np.multiply(session.eval_full(), beta))
+    session.step(beta, projection)
+    assert len(rebuilds) == 1
+    assert session.anchor.tobytes() == x_next.tobytes()
+    _assert_rebuilt_exactly(session, x_next)
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_moves_start_from_the_anchor_of_the_last_commit(layout):
     problem = GRAM_LAYOUTS[layout]()
     gen = seeded_generator(25, STREAM_SOLVER)
     x0 = gen.standard_normal(problem.dim)
@@ -436,41 +479,46 @@ def test_a_step_from_an_anchor_the_session_no_longer_keeps_rebuilds(layout):
     rebuilds = _count_rebuilds(session)
     beta = 0.25 / problem.componentwise_lipschitz.max()
 
-    # An exact rebuild keeps no anchor before its own.
-    y = x0 - np.multiply(session.eval_full(), beta)
-    session.set_point(y)  # no hint: an exact rebuild
+    # A coordinate shift moves the point, not the anchor: the step goes from x0.
+    session.shift_coordinate(3, 0.5)
     x1 = x0 - np.multiply(session.eval_full(), beta)
-    session.set_point(x1, beta)  # from x0, the anchor before the rebuild
-    assert len(rebuilds) == 2
-    _assert_rebuilt_exactly(session, x1)
+    session.step(beta, IdentityProjection())
+    assert session.anchor.tobytes() == x1.tobytes()
+    assert rebuilds == []
+    _assert_close_to_a_rebuild(session)
 
-    # Two anchors back is one too many.
-    _eg_pair(session, gen, x1)
-    assert len(rebuilds) == 2
-    x2 = x1 - np.multiply(session.eval_full(), beta)  # x1 is two anchors back
-    session.set_point(x2, beta)
-    assert len(rebuilds) == 3
-    _assert_rebuilt_exactly(session, x2)
-
-    # One ulp off previous - beta * F.
-    y = x2 - np.multiply(session.eval_full(), beta)
-    session.set_point(y, beta)
-    assert len(rebuilds) == 3  # the probe took the update
-    x3 = x2 - np.multiply(session.eval_full(), beta)
-    x3[7] = np.nextafter(x3[7], np.inf)
-    session.set_point(x3, beta)
-    assert len(rebuilds) == 4
-    _assert_rebuilt_exactly(session, x3)
-
-
-@pytest.mark.parametrize("name", ["affine", "cs"])
-def test_other_backends_ignore_the_step_hint(name):
-    problem = BACKENDS[name]()
-    x = np.abs(seeded_generator(23, STREAM_SOLVER).standard_normal(problem.dim))
-    plain = problem.open_session(np.zeros(problem.dim), CostLedger(problem.dim))
-    hinted = problem.open_session(np.zeros(problem.dim), CostLedger(problem.dim))
-    rebuilds = _count_rebuilds(hinted)
-    plain.set_point(x)
-    hinted.set_point(x, 0.5)
+    # set_point makes its point the anchor, and forgets the one before.
+    y = x1 + 0.125
+    session.set_point(y)
+    assert len(rebuilds) == 1 and session.anchor.tobytes() == y.tobytes()
+    x2 = y - np.multiply(session.eval_full(), beta)
+    session.step(beta, IdentityProjection())
+    assert session.anchor.tobytes() == x2.tobytes()
     assert len(rebuilds) == 1
-    assert hinted.eval_full().tobytes() == plain.eval_full().tobytes()
+    _assert_close_to_a_rebuild(session)
+
+    # Without a full read kept since the last move there is nothing to move along.
+    session.shift_coordinate(3, 0.5)
+    with pytest.raises(RuntimeError, match="full read"):
+        session.step(beta, IdentityProjection())
+    with pytest.raises(RuntimeError, match="full read"):
+        session.probe(beta)
+    assert session.anchor.tobytes() == x2.tobytes()
+
+
+@pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
+def test_a_projection_that_writes_into_its_argument_raises(layout):
+    class InPlace(Projection):
+        def __call__(self, x):
+            np.maximum(x, 0.0, out=x)
+            return x
+
+    problem = GRAM_LAYOUTS[layout]()
+    gen = seeded_generator(27, STREAM_SOLVER)
+    session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
+    x = session.anchor.copy()
+    session.eval_full()
+    with pytest.raises(ValueError, match="read-only"):
+        session.step(0.25 / problem.componentwise_lipschitz.max(), InPlace())
+    assert session.anchor.tobytes() == session.point.tobytes() == x.tobytes()
+    _assert_rebuilt_exactly(session, x)
