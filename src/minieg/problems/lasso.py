@@ -25,6 +25,7 @@ O(1), and a coordinate shift updates ``g`` with a single cached Gram row.
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -362,19 +363,33 @@ def save_instance(path, problem: CSProblem) -> None:
 
 
 def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
-    """Read an instance written by :func:`save_instance`."""
-    with np.load(path, allow_pickle=False) as data:
-        tag = str(data["format"])
+    """Read an instance written by :func:`save_instance`.
+
+    Raises :class:`ConfigurationError` naming the path for a file that
+    :func:`numpy.load` cannot read as an archive without pickles, and naming
+    the path and the key for an archive that lacks a key of the
+    ``minieg-cs-v1`` format or holds pickled objects under it. A missing or
+    unreadable file raises :class:`OSError`.
+    """
+    # An open file: numpy.load leaves its own file open when a zip header is bad.
+    with open(path, "rb") as file:
+        try:
+            data = np.load(file, allow_pickle=False)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise ConfigurationError(f"{path} is not an instance archive: {exc}") from None
+        if isinstance(data, np.ndarray):
+            raise ConfigurationError(f"{path} is not an instance archive: it holds one bare array")
+        tag = str(_member(data, "format", path))
         if tag != _FORMAT_TAG:
-            raise ConfigurationError(f"unrecognized instance container format {tag!r}")
-        A = data["sensing"]
-        b = data["measurements"]
-        reg = float(data["reg"])
-        x_true = data["x_true"]
-        sparsity = int(data["sparsity"])
-        snr_db = float(data["snr_db"])
-        realized = float(data["realized_snr_db"])
-        seed = int(data["seed"])
+            raise ConfigurationError(f"{path}: unrecognized instance container format {tag!r}")
+        A = _member(data, "sensing", path)
+        b = _member(data, "measurements", path)
+        reg = float(_member(data, "reg", path))
+        x_true = _member(data, "x_true", path)
+        sparsity = int(_member(data, "sparsity", path))
+        snr_db = float(_member(data, "snr_db", path))
+        realized = float(_member(data, "realized_snr_db", path))
+        seed = int(_member(data, "seed", path))
     meta = CSInstanceMeta(
         n=A.shape[1],
         n_measurements=A.shape[0],
@@ -391,3 +406,13 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
         meta=meta,
         spectral_seed=spectral_seed,
     )
+
+
+def _member(data, key: str, path):
+    """The array under ``key`` in the instance archive ``data`` read from ``path``."""
+    if key not in data.files:
+        raise ConfigurationError(f"{path} has no key {key!r} of the {_FORMAT_TAG} format")
+    try:
+        return data[key]
+    except ValueError as exc:  # pickled objects
+        raise ConfigurationError(f"{path}: key {key!r}: {exc}") from None

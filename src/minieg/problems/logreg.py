@@ -20,8 +20,10 @@ shift touches only the row's stored entries.
 With fewer samples than the design stores entries per sample (``N < n``
 dense, ``N * N < nnz`` sparse), the problem also keeps the sample-space Gram
 matrix ``K = A^T A`` (``N x N``, dense). The power iteration behind the
-global constant then runs on ``K``, and a session moved by a solver step
-updates its margins in ``O(N^2)`` instead of rebuilding them in ``O(nN)``
+global constant then runs on ``K``, and a session moved by a solver's probe
+or step updates its margins in ``O(N^2)`` instead of rebuilding them in
+``O(nN)``. One rule keeps the rounding of those updates bounded: every 64th
+step since the last exact rebuild is rebuilt exactly, and a probe never is
 (see :class:`LogRegSession`).
 """
 
@@ -181,8 +183,9 @@ class LogRegProblem(MonotoneMapping):
 
 
 # A session with a Gram matrix rebuilds its margins exactly at every
-# _EXACT_EVERY-th update in a row, probe or step, so the rounding of the
-# O(N^2) updates between them cannot pile up.
+# _EXACT_EVERY-th step since the last exact rebuild, so the rounding of the
+# O(N^2) updates between them cannot pile up. Probes are not counted: each
+# one starts afresh from the anchor's margins, which the next step replaces.
 _EXACT_EVERY = 64
 
 
@@ -213,12 +216,12 @@ class LogRegSession(EvaluationSession):
 
         z(x) = z(anchor) - s * (K w + reg * z(current)),
 
-    with ``w`` the current sample weights. A step takes the update only when
-    the projection hands back the candidate ``anchor - beta * F`` itself;
-    any other point goes to ``set_point`` and is rebuilt exactly. So is every
-    ``_EXACT_EVERY``-th update in a row, probes included. A probe rebuilt
-    that way loses the anchor's margins, so the step after it is rebuilt
-    exactly as well.
+    with ``w`` the current sample weights. A probe always takes the update.
+    A step takes it only when the projection hands back the candidate
+    ``anchor - beta * F`` itself; any other point goes to ``set_point`` and
+    is rebuilt exactly. So is every ``_EXACT_EVERY``-th step since the last
+    exact rebuild: probes do not count towards it, since each one starts from
+    the anchor's margins and the next step leaves it behind.
     """
 
     _problem: LogRegProblem
@@ -234,24 +237,18 @@ class LogRegSession(EvaluationSession):
         super().__init__(problem, x0, ledger)
 
     def probe(self, scale: float) -> None:
-        if self._gram_due():
-            self._update(self._stepped(scale), scale)
-        else:
-            super().probe(scale)
-            # y's rebuild overwrote the anchor's margins: the next move rebuilds too.
-            self._updates = _EXACT_EVERY - 1
+        if self._problem._K is None:
+            return super().probe(scale)
+        self._update(self._stepped(scale), scale)
 
     def _commit(self, x: np.ndarray, beta: float) -> None:
-        if x is not self._candidate or not self._gram_due():
+        self._steps += 1
+        if self._problem._K is None or x is not self._candidate or self._steps == _EXACT_EVERY:
             return self.set_point(x)
         self._update(x, beta)
         np.copyto(self._anchor, self._x)
         np.copyto(self._anchor_z, self._z)
         self._at_anchor = True
-
-    def _gram_due(self) -> bool:
-        """Whether the next move takes the Gram update rather than an exact rebuild."""
-        return self._problem._K is not None and self._updates < _EXACT_EVERY - 1
 
     def _update(self, x: np.ndarray, step: float) -> None:
         """Move to ``x = anchor - step * F(current)``, updating the margins through ``K``."""
@@ -264,14 +261,13 @@ class LogRegSession(EvaluationSession):
         np.multiply(change, step, out=change)
         np.subtract(self._anchor_z, change, out=self._z)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
-        self._updates += 1
 
     def _rebuild(self) -> None:
         p = self._problem
         np.copyto(self._z, p._At @ self._x)
         _sample_weights(self._z, p._nb, p._nb_n, out=self._w)
         np.copyto(self._anchor_z, self._z)
-        self._updates = 0  # Gram updates since the last exact rebuild
+        self._steps = 0  # steps since the last exact rebuild
 
     # A dense row spans every sample, so a dense shift or read works on whole
     # buffers; a sparse one gathers the row's samples.

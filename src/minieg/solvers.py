@@ -271,6 +271,28 @@ def lipschitz_power_sampler(
     return sampler
 
 
+def _checked_sampler(sampler: IndexSampler, n: int) -> IndexSampler:
+    """``sampler`` with every draw checked to be an integer, not a bool, in ``[0, n)``.
+
+    ``rmini`` and ``wmax`` draw once per iteration, so the number of draws
+    made before is the iteration's index.
+    """
+    draws = 0
+
+    def checked(gen: np.random.Generator, session: EvaluationSession) -> int:
+        nonlocal draws
+        i = sampler(gen, session)
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+            raise ConfigurationError(
+                f"index sampler drew {i!r} at iteration {draws}; "
+                f"a draw must be an integer in [0, {n})"
+            )
+        draws += 1
+        return i
+
+    return checked
+
+
 # ---------------------------------------------------------------------------
 # Probes
 # ---------------------------------------------------------------------------
@@ -414,7 +436,9 @@ def run_solver(
     per-iteration array copies; leave it None for timed runs) --
     :func:`minieg.bench.rank_trace` builds its rank diagnostics on it.
     ``index_sampler`` overrides the coordinate draw of the randomized
-    methods -- chiefly a testing hook. Either one keeps ``rmini`` on the
+    methods -- chiefly a testing hook; a draw that is not an integer in
+    ``[0, n)``, or is a bool, raises :class:`~minieg.core.ConfigurationError`
+    naming the draw, the iteration and ``n``. Either one keeps ``rmini`` on the
     per-step path, which calls the sampler and the session once per
     iteration; without them ``rmini`` fast-forwards through null steps (see
     the module docstring) with the same result, bit for bit. The map, the
@@ -446,8 +470,10 @@ def run_solver(
     # rmini fast-forwards through null runs only where nothing can observe
     # the skipped iterations: no callback and the library's own sampler.
     fast_forward = method == "rmini" and callback is None and index_sampler is None
-    if index_sampler is None and method in ("rmini", "wmax"):
-        index_sampler = lipschitz_power_sampler(l, cfg.gamma)
+    if index_sampler is not None:
+        index_sampler = _checked_sampler(index_sampler, problem.dim)
+    elif method in ("rmini", "wmax"):
+        index_sampler = lipschitz_power_sampler(l, cfg.gamma)  # draws in range: unchecked
 
     _, probe, start = _METHODS[method]
     ledger = CostLedger(problem.dim)

@@ -312,6 +312,23 @@ def test_unparsable_values_exit_with_an_error(argv, needle, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("content, needle", [
+    (b"not an archive at all", "is not an instance archive"),
+    (None, "has no key 'format'"),
+], ids=["not-an-archive", "foreign-archive"])
+def test_a_malformed_instance_file_exits_with_an_error(content, needle, tmp_path, capsys):
+    path = tmp_path / "instance.npz"
+    if content is None:
+        np.savez(path, payload=np.zeros(3))
+    else:
+        path.write_bytes(content)
+    code = main(["bench", "--instance", str(path), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and str(path) in captured.err and needle in captured.err
+    assert captured.out == ""
+
+
 def test_malformed_cs_spec_exits_with_an_error(capsys):
     code = main(["bench", "--cs", "1,2", "--trials", "1"])
     captured = capsys.readouterr()

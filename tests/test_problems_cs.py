@@ -1,5 +1,6 @@
 """Sparse-recovery backend: construction, dense oracles, persistence."""
 
+import io
 import math
 
 import numpy as np
@@ -182,6 +183,62 @@ def test_loading_a_foreign_container_fails_cleanly(tmp_path):
     np.savez(path, format="someone-elses-format", payload=np.zeros(3))
     with pytest.raises(ConfigurationError):
         load_instance(path)
+
+
+def _npy_bytes(array):
+    """``array`` as the bytes of a ``.npy`` file."""
+    buffer = io.BytesIO()
+    np.save(buffer, array, allow_pickle=True)
+    return buffer.getvalue()
+
+
+# Files that numpy.load cannot read as an archive without pickles.
+NOT_ARCHIVES = {
+    "text": b"not an archive at all",
+    "empty": b"",
+    "truncated-zip": b"PK\x03\x04" + bytes(12),
+    "bare-array": _npy_bytes(np.zeros(3)),
+    "pickled-array": _npy_bytes(np.array([{}])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_ARCHIVES))
+def test_a_file_that_is_not_an_instance_archive_fails_cleanly(kind, tmp_path):
+    path = tmp_path / "instance.npz"
+    path.write_bytes(NOT_ARCHIVES[kind])
+    with pytest.raises(ConfigurationError, match=f"{path} is not an instance archive"):
+        load_instance(path)
+
+
+INSTANCE_KEYS = ["format", "sensing", "measurements", "reg", "x_true",
+                 "sparsity", "snr_db", "realized_snr_db", "seed"]
+
+
+@pytest.mark.parametrize("key", INSTANCE_KEYS)
+def test_an_archive_missing_a_key_names_the_path_and_the_key(key, tmp_path):
+    path = tmp_path / "instance.npz"
+    save_instance(path, build_cs_instance(16, 8, 2))
+    with np.load(path) as data:
+        assert sorted(data.files) == sorted(INSTANCE_KEYS)
+        kept = {k: data[k] for k in data.files if k != key}
+    np.savez(path, **kept)
+    with pytest.raises(ConfigurationError, match=f"{path} has no key '{key}'"):
+        load_instance(path)
+
+
+def test_an_archive_with_a_pickled_member_names_the_path_and_the_key(tmp_path):
+    path = tmp_path / "instance.npz"
+    save_instance(path, build_cs_instance(16, 8, 2))
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    np.savez(path, **{**fields, "sensing": np.array([{}])})
+    with pytest.raises(ConfigurationError, match=f"{path}: key 'sensing'"):
+        load_instance(path)
+
+
+def test_a_missing_instance_file_stays_an_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        load_instance(tmp_path / "absent.npz")
 
 
 def test_solution_satisfies_the_lasso_optimality_conditions():

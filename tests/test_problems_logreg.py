@@ -244,8 +244,8 @@ def test_eg_through_the_gram_matrix_matches_exact_rebuilds(shape, seed, toleranc
     assert gap <= 1e-12 * np.linalg.norm(b.final_point)
 
 
-def test_an_eg_solve_rebuilds_only_for_the_periodic_exact_update():
-    problem = synthetic_logreg(2000, 62, seed=0)
+def _eg_with_counted_rebuilds(problem, config):
+    """Run eg; returns the result and the exact rebuilds after the opening one."""
     rebuilds = []
     open_session = problem.open_session
 
@@ -255,12 +255,27 @@ def test_an_eg_solve_rebuilds_only_for_the_periodic_exact_update():
         return session
 
     problem.open_session = open_counted
-    result = run_solver(problem, "eg", SolverConfig(tolerance=1e-4))
+    result = run_solver(problem, "eg", config)
+    return result, len(rebuilds[0])
+
+
+def test_an_eg_solve_rebuilds_only_for_the_periodic_exact_update():
+    result, rebuilds = _eg_with_counted_rebuilds(
+        synthetic_logreg(2000, 62, seed=0), SolverConfig(tolerance=1e-4)
+    )
     assert result.iterations == 35
-    # 35 probes and 34 steps move the session. The probe takes the update
-    # from the last anchor, the step from the one before; only the 64th move
-    # in a row is an exact rebuild.
-    assert len(rebuilds[0]) == 1
+    # 35 probes and 34 steps move the session, each through the Gram update:
+    # only the 64th step since the last exact rebuild would be one.
+    assert rebuilds == 0
+
+
+def test_a_long_eg_run_rebuilds_once_per_64_steps():
+    problem = synthetic_logreg(60, 20, seed=3, reg=0.01)
+    assert problem._K is not None
+    result, rebuilds = _eg_with_counted_rebuilds(problem, SolverConfig(tolerance=1e-8))
+    assert result.converged and result.iterations == 346
+    steps = result.iterations - 1  # the converged iteration does not step
+    assert rebuilds == steps // logreg._EXACT_EVERY == 5
 
 
 @pytest.mark.parametrize("reg", [-0.5, math.nan, math.inf, True, "0.1"])

@@ -401,24 +401,35 @@ def test_gram_updates_stay_close_and_every_rth_one_rebuilds_exactly(layout):
 
 
 @pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))
-def test_eg_pairs_take_the_gram_update_and_a_rebuilt_probe_rebuilds_its_step(layout):
+def test_eg_pairs_rebuild_exactly_at_every_64th_step_and_never_on_a_probe(layout):
     problem = GRAM_LAYOUTS[layout]()
     gen = seeded_generator(24, STREAM_SOLVER)
     session = problem.open_session(gen.standard_normal(problem.dim), CostLedger(problem.dim))
     rebuilds = _count_rebuilds(session)
-    for _ in range((logreg._EXACT_EVERY - 1) // 3):  # two updates per pair, one per coordinate step
+    probe_rebuilds = []  # the rebuilds each probe made
+    probe = session.probe
+
+    def counted_probe(scale):
+        before = len(rebuilds)
+        probe(scale)
+        probe_rebuilds.append(len(rebuilds) - before)
+
+    session.probe = counted_probe
+    for _ in range(logreg._EXACT_EVERY - 1):
         _eg_pair(session, gen)
-        _coordinate_step(session, gen, shift=True)
     assert rebuilds == []  # every probe and every step took the Gram update
     _assert_close_to_a_rebuild(session)
 
-    # The probe would be the 64th update in a row, so it rebuilds exactly. The
-    # anchor's margins go with it, and the step rebuilds too.
-    x = _eg_pair(session, gen)
-    assert len(rebuilds) == 2
+    x = _eg_pair(session, gen)  # the 64th step
+    assert len(rebuilds) == 1
     _assert_rebuilt_exactly(session, x)
-    _eg_pair(session, gen)  # the count starts again
+    for _ in range(logreg._EXACT_EVERY - 1):  # the count starts again
+        _eg_pair(session, gen)
+    assert len(rebuilds) == 1
+    _assert_close_to_a_rebuild(session)
+    _eg_pair(session, gen)
     assert len(rebuilds) == 2
+    assert probe_rebuilds == [0] * (2 * logreg._EXACT_EVERY)
 
 
 @pytest.mark.parametrize("layout", sorted(GRAM_LAYOUTS))

@@ -5,6 +5,7 @@ powers of two), so the assertions use strict equality where that holds.
 """
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -867,6 +868,29 @@ def test_a_custom_sampler_reads_every_iteration_through_the_session():
     }
     # The custom sampler draws what the default one draws, so only the path differs.
     assert _outcome(result) == _outcome(run_solver(problem, "rmini", config))
+
+
+BAD_DRAW_PROBLEMS = {
+    "cs": lambda: build_cs_instance(16, 8, 2),
+    "logreg": lambda: synthetic_logreg(60, 20, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DRAW_PROBLEMS))
+@pytest.mark.parametrize("method", ["rmini", "wmax"])
+@pytest.mark.parametrize("bad", [-1, "n", 2.7, True])
+def test_a_custom_sampler_draw_that_is_no_coordinate_fails_fast(name, method, bad):
+    problem = BAD_DRAW_PROBLEMS[name]()
+    n = problem.dim
+    bad = n if bad == "n" else bad
+    draws = iter([1, np.int64(2)])  # a Python int and a numpy integer are coordinates
+
+    def sampler(gen, session):
+        return next(draws, bad)
+
+    message = rf"drew {re.escape(repr(bad))} at iteration 2; .* integer in \[0, {n}\)"
+    with pytest.raises(ConfigurationError, match=message):
+        run_solver(problem, method, SolverConfig(), index_sampler=sampler)
 
 
 # ---------------------------------------------------------------------------
