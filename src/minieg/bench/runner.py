@@ -12,9 +12,10 @@ whole run is reproducible from the spec alone.
 from __future__ import annotations
 
 import math
+import os
 import time
-from dataclasses import dataclass, field, replace
-from typing import Protocol
+from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar, Protocol
 
 import numpy as np
 
@@ -72,10 +73,26 @@ class ProblemSource(Protocol):
     def describe(self) -> dict: ...
 
 
+class _FieldSource:
+    """Describes a dataclass source as its ``kind`` and its init fields."""
+
+    kind: ClassVar[str]
+
+    def describe(self) -> dict:
+        """``{"kind": ..., <field>: <value>, ...}``, with a path as a string."""
+        described = {"kind": self.kind}
+        for f in fields(self):
+            if f.init:
+                value = getattr(self, f.name)
+                described[f.name] = str(value) if isinstance(value, os.PathLike) else value
+        return described
+
+
 @dataclass(frozen=True)
-class SyntheticCSSource:
+class SyntheticCSSource(_FieldSource):
     """Synthetic sparse-recovery instances, regenerated per trial."""
 
+    kind = "synthetic-cs"
     n: int
     n_measurements: int
     sparsity: int
@@ -94,22 +111,12 @@ class SyntheticCSSource:
             reg_scale=self.reg_scale,
         )
 
-    def describe(self) -> dict:
-        return {
-            "kind": "synthetic-cs",
-            "n": self.n,
-            "n_measurements": self.n_measurements,
-            "sparsity": self.sparsity,
-            "snr_db": self.snr_db,
-            "seed": self.seed,
-            "reg_scale": self.reg_scale,
-        }
-
 
 @dataclass(frozen=True)
-class AffineSource:
+class AffineSource(_FieldSource):
     """Random SPD or fixed skew-rotation affine instances."""
 
+    kind = "affine"
     dim: int
     flavor: str = "spd"  # "spd" | "skew"
     seed: int = 0
@@ -127,39 +134,31 @@ class AffineSource:
             return random_spd_affine(self.dim, self.seed + seed)
         return skew_rotation_problem(self.dim)
 
-    def describe(self) -> dict:
-        return {"kind": "affine", "dim": self.dim, "flavor": self.flavor, "seed": self.seed}
-
 
 @dataclass(frozen=True)
-class LibsvmSource:
+class LibsvmSource(_FieldSource):
     """A fixed classification dataset on disk (logistic regression map)."""
 
+    kind = "libsvm"
     path: str
     reg: float = 0.1
-    n_features: int | None = None
     fresh_per_trial: bool = field(default=False, init=False)
 
     def build(self, seed: int) -> MonotoneMapping:
-        X, y = load_libsvm(self.path, n_features=self.n_features)
+        X, y = load_libsvm(self.path)
         return LogRegProblem(X, y, reg=self.reg)
-
-    def describe(self) -> dict:
-        return {"kind": "libsvm", "path": str(self.path), "reg": self.reg}
 
 
 @dataclass(frozen=True)
-class InstanceFileSource:
+class InstanceFileSource(_FieldSource):
     """A sparse-recovery instance saved in the NPZ container format."""
 
+    kind = "instance-file"
     path: str
     fresh_per_trial: bool = field(default=False, init=False)
 
     def build(self, seed: int) -> MonotoneMapping:
         return load_instance(self.path)
-
-    def describe(self) -> dict:
-        return {"kind": "instance-file", "path": str(self.path)}
 
 
 class FixedProblemSource:
@@ -319,6 +318,10 @@ def run_experiment(spec: ExperimentSpec, *, progress=None) -> ExperimentResult:
 # Statuses of runs that broke down; they are counted, not averaged.
 _FAILED = (RunStatus.STEPSIZE_FAILURE.value, RunStatus.NON_FINITE_RESIDUAL.value)
 
+# The TrialRow fields each MethodAggregate and sweep row summarises as a mean
+# and a standard deviation; no std of the final residual is kept.
+_TRIAL_METRICS = ("itr", "nf", "tcpu_s", "final_residual")
+
 
 def _aggregate(
     spec: ExperimentSpec, rows: list[TrialRow], reference: str
@@ -329,16 +332,12 @@ def _aggregate(
         kept = [r for r in mine if r.status not in _FAILED]
         failed = len(mine) - len(kept)
 
-        def stats(values: list[float]) -> tuple[float, float]:
-            if not values:
-                return float("nan"), float("nan")
-            arr = np.asarray(values, dtype=float)
-            return float(arr.mean()), float(arr.std())
-
-        mean_itr, std_itr = stats([r.itr for r in kept])
-        mean_nf, std_nf = stats([r.nf for r in kept])
-        mean_tcpu, std_tcpu = stats([r.tcpu_s for r in kept])
-        mean_res, _ = stats([r.final_residual for r in kept])
+        summary = {}
+        for metric in _TRIAL_METRICS:
+            values = np.asarray([getattr(r, metric) for r in kept], dtype=float)
+            summary[f"mean_{metric}"] = float(values.mean()) if kept else math.nan
+            summary[f"std_{metric}"] = float(values.std()) if kept else math.nan
+        del summary["std_final_residual"]
         recoveries = [r.recovery_error for r in kept if r.recovery_error is not None]
         mean_recovery = float(np.mean(recoveries)) if recoveries else None
 
@@ -349,13 +348,7 @@ def _aggregate(
             converged=sum(r.status == RunStatus.CONVERGED.value for r in mine),
             capped=sum(r.status == RunStatus.ITERATION_CAP.value for r in mine),
             failed=failed,
-            mean_itr=mean_itr,
-            std_itr=std_itr,
-            mean_nf=mean_nf,
-            std_nf=std_nf,
-            mean_tcpu_s=mean_tcpu,
-            std_tcpu_s=std_tcpu,
-            mean_final_residual=mean_res,
+            **summary,
             mean_recovery_error=mean_recovery,
         )
 
@@ -381,9 +374,6 @@ class SweepResult:
     metadata: dict
 
 
-_SWEEP_METRICS = ("itr", "nf", "tcpu_s", "final_residual")
-
-
 def sweep_rho(spec: ExperimentSpec, grid) -> SweepResult:
     """Re-run the experiment for each probe-step fraction in ``grid``."""
     grid = tuple(float(r) for r in grid)
@@ -395,7 +385,7 @@ def sweep_rho(spec: ExperimentSpec, grid) -> SweepResult:
         outcome = run_experiment(sub)
         for method in spec.methods:
             agg = outcome.aggregates[method]
-            for metric in _SWEEP_METRICS:  # no std of the final residual is kept: NaN
+            for metric in _TRIAL_METRICS:  # no std of the final residual is kept: NaN
                 rows.append((method, rho, metric, getattr(agg, f"mean_{metric}"),
                              getattr(agg, f"std_{metric}", math.nan)))
     metadata = {"source": spec.source.describe(), "grid": list(grid)}

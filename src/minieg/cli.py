@@ -335,10 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, LibsvmParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigurationError, LibsvmParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

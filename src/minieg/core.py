@@ -204,7 +204,10 @@ class MonotoneMapping(ABC):
       ``|F_i(x + t e_i) - F_i(x)| <= l_i |t|`` for every coordinate ``i``;
     * ``ensure_global_lipschitz()`` -- a (possibly estimated) bound ``L`` on
       the global Lipschitz constant, computed lazily because it can be the
-      single most expensive piece of setup;
+      single most expensive piece of setup. It computes the bound once, through
+      the backend hook ``_compute_global_lipschitz()``, and caches it; a
+      backend that estimates the bound by power iteration records the
+      estimate as ``lambda_setup``;
     * ``projection`` -- the feasible region the iterates must stay in;
     * ``open_session`` -- a stateful evaluation cursor (see
       :class:`EvaluationSession`).
@@ -212,6 +215,9 @@ class MonotoneMapping(ABC):
     ``eval_full`` evaluates the raw map without touching any ledger; it is
     meant for tests and diagnostics, not for the solver loops.
     """
+
+    _global_lipschitz: float | None = None
+    lambda_setup = None  # the SpectralEstimate behind an estimated global bound
 
     @property
     @abstractmethod
@@ -228,11 +234,20 @@ class MonotoneMapping(ABC):
     @property
     def global_lipschitz(self) -> float | None:
         """The cached global bound, or None if not computed yet."""
-        return getattr(self, "_global_lipschitz", None)
+        return self._global_lipschitz
 
-    @abstractmethod
     def ensure_global_lipschitz(self) -> float:
         """Compute (once) and return the global Lipschitz bound."""
+        if self._global_lipschitz is None:
+            self._global_lipschitz = self._compute_global_lipschitz()
+        return self._global_lipschitz
+
+    def _compute_global_lipschitz(self) -> float:
+        """The global Lipschitz bound, computed from scratch; cached by the caller.
+
+        A hook that raises caches nothing, so the next call tries again.
+        """
+        raise ConfigurationError(f"{type(self).__name__} has no global Lipschitz bound")
 
     @abstractmethod
     def eval_full(self, x: np.ndarray) -> np.ndarray:

@@ -110,11 +110,8 @@ class AffineMonotoneProblem(MonotoneMapping):
     def projection(self) -> Projection:
         return self._projection
 
-    def ensure_global_lipschitz(self) -> float:
-        if self._global_lipschitz is None:
-            # Exact spectral norm; test instances are small.
-            self._global_lipschitz = float(np.linalg.norm(self._M, 2))
-        return self._global_lipschitz
+    def _compute_global_lipschitz(self) -> float:
+        return float(np.linalg.norm(self._M, 2))  # exact: test instances are small
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)

@@ -51,8 +51,9 @@ __all__ = [
     "load_instance",
 ]
 
-_SPECTRAL_SAFETY = 1.01
 _FORMAT_TAG = "minieg-cs-v1"
+# The dtype kinds a member of the format may hold, by what it holds.
+_DTYPE_KINDS = {"text": "U", "real": "iuf", "integer": "iu"}
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,6 @@ class CSProblem(MonotoneMapping):
         h = np.maximum(np.diag(self._G), 1.0)
         self._l = np.concatenate([h, h])
         self._spectral_seed = spectral_seed
-        self._global_lipschitz: float | None = None
-        self.lambda_setup = None
 
         self.x_true = None if x_true is None else np.array(x_true, dtype=float)
         self.meta = meta
@@ -155,18 +154,12 @@ class CSProblem(MonotoneMapping):
     def projection(self) -> Projection:
         return NonnegativeProjection()
 
-    def ensure_global_lipschitz(self) -> float:
-        if self._global_lipschitz is None:
-            est = estimate_lambda_max(
-                lambda v: self._G @ v, self._n_signal, seed=self._spectral_seed
-            )
-            self.lambda_setup = est
-            require_converged(est)
-            lambda_h = 2.0 * est.value  # spectrum of H is {0} U 2*spec(B)
-            self._global_lipschitz = float(
-                np.sqrt(self.dim) * max(_SPECTRAL_SAFETY * lambda_h, 1.0)
-            )
-        return self._global_lipschitz
+    def _compute_global_lipschitz(self) -> float:
+        self.lambda_setup = estimate_lambda_max(
+            lambda v: self._G @ v, self._n_signal, seed=self._spectral_seed
+        )
+        lambda_h = 2.0 * require_converged(self.lambda_setup)  # spectrum of H is {0} U 2*spec(B)
+        return float(np.sqrt(self.dim) * max(lambda_h, 1.0))
 
     def eval_full(self, z: np.ndarray) -> np.ndarray:
         z = self._check_point(z)
@@ -368,8 +361,12 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
     Raises :class:`ConfigurationError` naming the path for a file that
     :func:`numpy.load` cannot read as an archive without pickles, and naming
     the path and the key for an archive that lacks a key of the
-    ``minieg-cs-v1`` format or holds pickled objects under it. A missing or
-    unreadable file raises :class:`OSError`.
+    ``minieg-cs-v1`` format, holds pickled objects under it, or holds a
+    member of the wrong kind or shape: ``sensing`` must be a 2-d and
+    ``measurements`` a 1-d real array, ``x_true`` an empty one or one with an
+    entry per column of ``sensing``, ``reg``, ``snr_db`` and
+    ``realized_snr_db`` real scalars, and ``sparsity`` and ``seed`` integer
+    scalars. A missing or unreadable file raises :class:`OSError`.
     """
     # An open file: numpy.load leaves its own file open when a zip header is bad.
     with open(path, "rb") as file:
@@ -379,17 +376,22 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
             raise ConfigurationError(f"{path} is not an instance archive: {exc}") from None
         if isinstance(data, np.ndarray):
             raise ConfigurationError(f"{path} is not an instance archive: it holds one bare array")
-        tag = str(_member(data, "format", path))
+        tag = str(_member(data, "format", path, "text", 0))
         if tag != _FORMAT_TAG:
             raise ConfigurationError(f"{path}: unrecognized instance container format {tag!r}")
-        A = _member(data, "sensing", path)
-        b = _member(data, "measurements", path)
-        reg = float(_member(data, "reg", path))
-        x_true = _member(data, "x_true", path)
-        sparsity = int(_member(data, "sparsity", path))
-        snr_db = float(_member(data, "snr_db", path))
-        realized = float(_member(data, "realized_snr_db", path))
-        seed = int(_member(data, "seed", path))
+        A = _member(data, "sensing", path, "real", 2)
+        b = _member(data, "measurements", path, "real", 1)
+        reg = float(_member(data, "reg", path, "real", 0))
+        x_true = _member(data, "x_true", path, "real", 1)
+        sparsity = int(_member(data, "sparsity", path, "integer", 0))
+        snr_db = float(_member(data, "snr_db", path, "real", 0))
+        realized = float(_member(data, "realized_snr_db", path, "real", 0))
+        seed = int(_member(data, "seed", path, "integer", 0))
+    if x_true.size not in (0, A.shape[1]):
+        raise ConfigurationError(
+            f"{path}: key 'x_true' holds {x_true.size} entries, but 'sensing' has "
+            f"{A.shape[1]} columns"
+        )
     meta = CSInstanceMeta(
         n=A.shape[1],
         n_measurements=A.shape[0],
@@ -408,11 +410,18 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
     )
 
 
-def _member(data, key: str, path):
-    """The array under ``key`` in the instance archive ``data`` read from ``path``."""
+def _member(data, key: str, path, kind: str, ndim: int):
+    """The ``ndim``-d array of ``kind`` under ``key`` in the instance archive
+    ``data`` read from ``path``; ``kind`` is a key of ``_DTYPE_KINDS``."""
     if key not in data.files:
         raise ConfigurationError(f"{path} has no key {key!r} of the {_FORMAT_TAG} format")
     try:
-        return data[key]
+        value = data[key]
     except ValueError as exc:  # pickled objects
         raise ConfigurationError(f"{path}: key {key!r}: {exc}") from None
+    if value.dtype.kind not in _DTYPE_KINDS[kind] or value.ndim != ndim:
+        raise ConfigurationError(
+            f"{path}: key {key!r} must hold a {ndim}-d {kind} array, "
+            f"got dtype {value.dtype} and shape {value.shape}"
+        )
+    return value

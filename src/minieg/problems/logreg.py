@@ -46,10 +46,6 @@ from .spectral import estimate_lambda_max, require_converged
 
 __all__ = ["LogRegProblem", "synthetic_logreg"]
 
-# Estimated spectral bounds get a 1% safety margin so that the componentwise
-# constants (which are exact) can never exceed the global one numerically.
-_SPECTRAL_SAFETY = 1.01
-
 
 class LogRegProblem(MonotoneMapping):
     """Gradient map of L2-regularized logistic regression.
@@ -131,8 +127,6 @@ class LogRegProblem(MonotoneMapping):
             K = self._At @ A
             self._K = K.toarray() if self._sparse else K
         self._spectral_seed = spectral_seed
-        self._global_lipschitz: float | None = None
-        self.lambda_setup = None  # SpectralEstimate once computed
 
     # -- contract ---------------------------------------------------------
 
@@ -152,26 +146,20 @@ class LogRegProblem(MonotoneMapping):
     def componentwise_lipschitz(self) -> np.ndarray:
         return self._l
 
-    def ensure_global_lipschitz(self) -> float:
-        if self._global_lipschitz is None:
-            A, At = self._A, self._At
-            # lambda_1(A A^T) == lambda_1(A^T A); iterate over the smaller side.
-            if self._K is not None:
-                matvec = self._K.__matmul__
-                dim = self._N
-            elif self._N <= self._n:
-                matvec = lambda v: At @ (A @ v)
-                dim = self._N
-            else:
-                matvec = lambda v: A @ (At @ v)
-                dim = self._n
-            est = estimate_lambda_max(matvec, dim, seed=self._spectral_seed)
-            self.lambda_setup = est
-            require_converged(est)
-            self._global_lipschitz = (
-                _SPECTRAL_SAFETY * est.value / (4.0 * self._N) + self._reg
-            )
-        return self._global_lipschitz
+    def _compute_global_lipschitz(self) -> float:
+        A, At = self._A, self._At
+        # lambda_1(A A^T) == lambda_1(A^T A); iterate over the smaller side.
+        if self._K is not None:
+            matvec = self._K.__matmul__
+            dim = self._N
+        elif self._N <= self._n:
+            matvec = lambda v: At @ (A @ v)
+            dim = self._N
+        else:
+            matvec = lambda v: A @ (At @ v)
+            dim = self._n
+        self.lambda_setup = estimate_lambda_max(matvec, dim, seed=self._spectral_seed)
+        return require_converged(self.lambda_setup) / (4.0 * self._N) + self._reg
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)

@@ -18,6 +18,10 @@ from ..core import ConfigurationError, STREAM_POWER, seeded_generator
 
 __all__ = ["SpectralEstimate", "estimate_lambda_max", "require_converged"]
 
+# Estimated spectral bounds get a 1% safety margin so that the componentwise
+# constants (which are exact) can never exceed the global one numerically.
+_SPECTRAL_SAFETY = 1.01
+
 
 @dataclass(frozen=True)
 class SpectralEstimate:
@@ -88,11 +92,14 @@ def estimate_lambda_max(
     return SpectralEstimate(value=rayleigh, iterations=max_iterations, converged=False)
 
 
-def require_converged(estimate: SpectralEstimate) -> None:
-    """Raise :class:`ConfigurationError` unless the power iteration converged.
+def require_converged(estimate: SpectralEstimate) -> float:
+    """The largest eigenvalue to build a global Lipschitz bound on.
 
-    An unconverged estimate is only a lower bound on the largest eigenvalue;
-    a global Lipschitz bound scaled from it could be too small.
+    Returns ``1.01 * estimate.value``: the estimate with the 1% safety
+    margin every global bound carries. Raises :class:`ConfigurationError`
+    unless the power iteration converged: an unconverged estimate is only a
+    lower bound on the largest eigenvalue, and a global Lipschitz bound
+    scaled from it could be too small.
     """
     if not estimate.converged:
         raise ConfigurationError(
@@ -100,3 +107,4 @@ def require_converged(estimate: SpectralEstimate) -> None:
             f"matvecs (last value {estimate.value:.6e}); it is only a lower bound "
             "and cannot give a global Lipschitz bound"
         )
+    return _SPECTRAL_SAFETY * estimate.value

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -37,6 +38,7 @@ from minieg.bench import (
 )
 from minieg.bench.runner import _make_x0
 from minieg.problems import (
+    AffineMonotoneProblem,
     build_cs_instance,
     save_instance,
     skew_rotation_problem,
@@ -505,3 +507,17 @@ def test_result_json_matches_the_fixed_document():
     result = ExperimentResult(spec=spec, rows=rows, aggregates=aggregates, metadata=metadata)
     text = json.dumps(result_to_jsonable(result), indent=2, sort_keys=True) + "\n"
     assert text == RESULT_JSON
+
+
+def test_rank_trace_skips_an_iteration_that_selects_no_coordinate():
+    # gmini started at an exact root probes in place and converges at once.
+    problem = AffineMonotoneProblem(np.eye(2), rhs=[1.0, 2.0])
+    result, points = rank_trace(problem, method="gmini", x0=np.array([1.0, 2.0]))
+    assert result.converged and result.iterations == 1
+    assert points == []
+
+
+def test_a_path_source_describes_its_path_as_a_string():
+    path = Path("data") / "set.txt"
+    assert LibsvmSource(path=path).describe() == {"kind": "libsvm", "path": str(path), "reg": 0.1}
+    assert InstanceFileSource(path=path).describe() == {"kind": "instance-file", "path": str(path)}

@@ -14,6 +14,7 @@ import minieg.cli
 from minieg import RunStatus
 from minieg.bench import RankPoint, SweepResult, load_results_schema
 from minieg.cli import main
+from minieg.problems import build_cs_instance, save_instance
 
 
 def test_bench_renders_a_table(capsys):
@@ -419,3 +420,18 @@ def test_gen_cs_with_an_snr_whose_noise_overflows_exits_with_an_error(tmp_path, 
     assert code == 2
     assert captured.err.startswith("error:") and "snr_db" in captured.err
     assert not out.exists()
+
+
+def test_an_instance_whose_planted_signal_has_the_wrong_length_exits_with_an_error(
+    tmp_path, capsys
+):
+    path = tmp_path / "instance.npz"
+    save_instance(path, build_cs_instance(16, 8, 2))
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    np.savez(path, **{**fields, "x_true": np.zeros(5)})
+    code = main(["bench", "--instance", str(path), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and f"{path}: key 'x_true'" in captured.err
+    assert captured.out == ""

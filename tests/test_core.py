@@ -4,18 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from minieg import (
     BoxProjection,
     ConfigurationError,
     CostLedger,
     IdentityProjection,
+    MonotoneMapping,
     NonnegativeProjection,
     seeded_generator,
     weighted_norm,
 )
 from minieg.core import STREAM_INSTANCE, STREAM_POWER, STREAM_SOLVER, STREAM_X0
-from minieg.problems import AffineMonotoneProblem, random_spd_affine
+from minieg.problems import (
+    AffineMonotoneProblem,
+    LogRegProblem,
+    build_cs_instance,
+    random_spd_affine,
+    synthetic_logreg,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +265,54 @@ def test_eval_full_rejects_bad_shape():
     problem = AffineMonotoneProblem(np.eye(2))
     with pytest.raises(ConfigurationError):
         problem.eval_full(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
+# Global Lipschitz bound
+# ---------------------------------------------------------------------------
+
+# One problem of each shipped backend, with its bound not yet computed.
+BOUND_BACKENDS = {
+    "cs": lambda: build_cs_instance(16, 8, 2, seed=1),
+    "logreg-dense": lambda: synthetic_logreg(12, 25, seed=4),
+    "logreg-sparse": lambda: LogRegProblem(
+        sp.random(20, 40, density=0.3, random_state=np.random.default_rng(0)),
+        np.where(np.arange(20) % 2, 1.0, -1.0),
+    ),
+    "affine": lambda: AffineMonotoneProblem([[2.0, 1.0], [-1.0, 3.0]]),
+}
+
+
+@pytest.mark.parametrize("backend", sorted(BOUND_BACKENDS))
+def test_every_backend_computes_its_global_bound_once(backend):
+    problem = BOUND_BACKENDS[backend]()
+    computed = []
+    compute = problem._compute_global_lipschitz
+    problem._compute_global_lipschitz = lambda: computed.append(1) or compute()
+    assert problem.global_lipschitz is None
+    bound = problem.ensure_global_lipschitz()
+    assert problem.ensure_global_lipschitz() == bound == problem.global_lipschitz
+    assert len(computed) == 1
+    assert bound >= problem.componentwise_lipschitz.max()
+
+
+class _Unbounded(MonotoneMapping):
+    """A mapping that states no global bound."""
+
+    dim = 1
+    componentwise_lipschitz = np.ones(1)
+
+    def eval_full(self, x):
+        return self._check_point(x)
+
+    def open_session(self, x0, ledger):
+        raise NotImplementedError
+
+
+def test_a_mapping_without_a_bound_names_its_type_and_caches_nothing():
+    problem = _Unbounded()
+    assert problem.lambda_setup is None
+    for _ in range(2):
+        with pytest.raises(ConfigurationError, match="_Unbounded has no global Lipschitz bound"):
+            problem.ensure_global_lipschitz()
+        assert problem.global_lipschitz is None

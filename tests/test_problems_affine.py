@@ -39,3 +39,15 @@ def test_rejected_constructions_raise_configuration_errors(case):
     with pytest.raises(ConfigurationError, match=message):
         build()
 
+
+
+def test_the_global_bound_defaults_to_the_exact_spectral_norm():
+    matrix = np.array([[2.0, 1.0], [-1.0, 3.0]])
+    problem = AffineMonotoneProblem(matrix)
+    assert problem.ensure_global_lipschitz() == float(np.linalg.norm(matrix, 2))
+    assert AffineMonotoneProblem(matrix, global_lipschitz=7).ensure_global_lipschitz() == 7.0
+
+
+def test_the_right_hand_side_defaults_to_zero():
+    np.testing.assert_array_equal(AffineMonotoneProblem(np.eye(2)).rhs, [0.0, 0.0])
+    np.testing.assert_array_equal(AffineMonotoneProblem(np.eye(2), rhs=[1, 2]).rhs, [1.0, 2.0])

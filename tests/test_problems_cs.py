@@ -339,3 +339,40 @@ def test_reg_must_be_a_positive_real_number(reg):
 @pytest.mark.parametrize("reg", [0.1, np.float64(0.1)])
 def test_a_positive_real_reg_is_accepted(reg):
     assert CSProblem(np.ones((2, 2)), np.ones(2), reg=reg).reg == 0.1
+
+
+def _rewrite_instance(path, **members):
+    """Save a small instance to ``path`` with some of its members replaced."""
+    save_instance(path, build_cs_instance(16, 8, 2))
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    np.savez(path, **{**fields, **members})
+
+
+# One member of the wrong kind or shape per key.
+MALFORMED_MEMBERS = {
+    "format": np.array(["minieg-cs-v1"]),
+    "sensing": np.zeros(16),
+    "measurements": np.array(["x"] * 8),
+    "reg": np.array("high"),
+    "x_true": np.zeros(5),
+    "sparsity": np.zeros(3),
+    "snr_db": np.array([20.0, 20.0]),
+    "realized_snr_db": np.array(True),
+    "seed": np.array(1.5),
+}
+
+
+@pytest.mark.parametrize("key", INSTANCE_KEYS)
+def test_an_archive_with_a_malformed_member_names_the_path_and_the_key(key, tmp_path):
+    path = tmp_path / "instance.npz"
+    _rewrite_instance(path, **{key: MALFORMED_MEMBERS[key]})
+    with pytest.raises(ConfigurationError, match=f"{path}: key '{key}'"):
+        load_instance(path)
+
+
+def test_an_archive_may_hold_integers_for_its_reals(tmp_path):
+    path = tmp_path / "instance.npz"
+    _rewrite_instance(path, reg=np.array(1), snr_db=np.array(20), seed=np.uint64(3))
+    loaded = load_instance(path)
+    assert loaded.reg == 1.0 and loaded.meta.snr_db == 20.0 and loaded.meta.seed == 3

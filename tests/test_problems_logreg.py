@@ -287,3 +287,16 @@ def test_reg_must_be_a_positive_real_number(reg):
 @pytest.mark.parametrize("reg", [0.1, np.float64(0.1)])
 def test_a_positive_real_reg_is_accepted(reg):
     assert LogRegProblem(np.array([[2.0, 0.0]]), [1.0], reg=reg).reg == 0.1
+
+
+def test_a_sparse_design_without_gram_iterates_over_its_samples():
+    # 20 samples, 40 features, 240 stored entries: K's 400 entries are not
+    # kept, and the power iteration runs on A^T A over the 20 samples.
+    X = sp.random(20, 40, density=0.3, random_state=np.random.default_rng(0), format="csr")
+    problem = LogRegProblem(X, np.where(np.arange(20) % 2, 1.0, -1.0))
+    assert X.nnz == 240 and problem._K is None
+    bound = problem.ensure_global_lipschitz()
+    lam = float(np.linalg.eigvalsh((X @ X.T).toarray())[-1])
+    assert problem.lambda_setup.converged
+    assert problem.lambda_setup.value == pytest.approx(lam, rel=1e-7)
+    assert bound == 1.01 * problem.lambda_setup.value / (4.0 * 20) + 0.1
