@@ -27,9 +27,14 @@ the pairs the change won, and a verdict:
     is wider than the bound, and not every run of the change reads better
     than every run of the parent, so neither of the last two can be told.
 
+Each pair line also shows how many solves each run attempted in its time
+(the result line's ``attempted``): a faster side covers more instances, and
+so reads its metrics over a different sample.
+
 With ``--out FILE`` the script also writes one JSON document: the run
 settings, each side's ``env`` line (machine, library versions, BLAS
-threads), every pair's readings and the verdict table.
+threads), every pair's readings, each run's ``attempted`` count apart from
+them, and the verdict table.
 
 Only the standard library is used. The exit code is 1 as soon as any run
 prints ``"correct": false`` or no result line, and 0 otherwise. Such a run
@@ -136,9 +141,10 @@ def write_record(path: Path, settings: dict, env: dict, workloads: dict,
     """Write the evidence of a comparison as one JSON document.
 
     ``settings`` holds the run settings, ``env`` each side's ``env`` line and
-    ``workloads`` maps a workload to its ``readings`` and ``verdicts`` (the
-    rows of :func:`judge`; a workload cut short by a failed run has no
-    verdicts). ``failure``, when given, describes that run.
+    ``workloads`` maps a workload to its ``readings``, its runs' ``attempted``
+    counts (each side's in pair order) and ``verdicts`` (the rows of
+    :func:`judge`; a workload cut short by a failed run has no verdicts).
+    ``failure``, when given, describes that run.
     """
     record = {"format": "bench-pairs-v1", "settings": settings, "env": env, "workloads": workloads}
     if failure is not None:
@@ -168,6 +174,7 @@ def main(argv=None) -> int:
     record: dict[str, dict] = {}
     for workload in workloads:
         readings = {side: {m["name"]: [] for m in metrics} for side in sides}
+        attempted: dict[str, list] = {side: [] for side in sides}
         for k in range(args.pairs):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
                 run = run_once(sides[side], workload, args.seed, args.seconds)
@@ -179,7 +186,7 @@ def main(argv=None) -> int:
                     for line in run.stderr:
                         print(f"    {line}")
                     if args.out is not None:
-                        record[workload] = {"readings": readings}
+                        record[workload] = {"readings": readings, "attempted": attempted}
                         failure = {"workload": workload, "pair": k, "side": side, **run._asdict()}
                         write_record(args.out, settings, env, record, failure)
                         print(f"wrote {args.out}")
@@ -189,10 +196,12 @@ def main(argv=None) -> int:
                 values = {name: result["metrics"][name]["value"] for name in readings[side]}
                 for name, value in values.items():
                     readings[side][name].append(value)
+                attempted[side].append(result.get("attempted"))
                 shown = " ".join(f"{name}={value:.6g}" for name, value in values.items())
-                print(f"{workload} pair {k} {side}: {shown}", flush=True)
+                print(f"{workload} pair {k} {side}: attempted={attempted[side][-1]} {shown}",
+                      flush=True)
         rows = judge(readings, metrics)
-        record[workload] = {"readings": readings, "verdicts": rows}
+        record[workload] = {"readings": readings, "attempted": attempted, "verdicts": rows}
         print(f"\n{workload}: {args.pairs} pairs, seed {args.seed}, {args.seconds:g} s per run")
         print(f"{'metric':<16} {'parent':>10} {'q1':>10} {'q3':>10} {'change':>10} {'diff':>8} "
               f"{'wins':>6}  verdict")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -274,7 +275,9 @@ class EvaluationSession(ABC):
     reading the map is charged:
 
     * ``eval_full()`` charges one full evaluation,
-    * ``eval_component(i)`` charges ``1/n`` of one.
+    * ``eval_component(i)`` charges ``1/n`` of one, and
+    * ``first_nonzero_read(sampler, gen, most)`` charges ``1/n`` for each
+      coordinate it draws and reads.
 
     The session also keeps the committed point, its ``anchor``, and makes
     the solver's two moves itself, with ``F`` the full read kept at the
@@ -405,6 +408,31 @@ class EvaluationSession(ABC):
         """``F_i`` at the current point. Charges ``1/n`` of a full eval."""
         self._ledger.charge_component()
         return self._compute_component(int(i))
+
+    def first_nonzero_read(
+        self,
+        sampler: Callable[[np.random.Generator, EvaluationSession], int],
+        gen: np.random.Generator,
+        most: int,
+    ) -> tuple[int, tuple[int, float] | None]:
+        """Draw coordinates with ``sampler(gen, self)`` and read each, until one
+        reads nonzero or ``most`` have read zero. Charges ``1/n`` per read.
+
+        Returns the number of zero reads and the first nonzero ``(i, F_i)``,
+        or None when all ``most`` read zero. Meant for a point the session
+        has not left since its last full read; this class reads every draw
+        through ``eval_component``, which is exact anywhere. A backend whose
+        component read computes the full read's entry the same way may read
+        the ``F`` it keeps instead.
+        """
+        zeros = 0
+        while zeros < most:
+            i = sampler(gen, self)
+            f_i = self.eval_component(i)
+            if f_i != 0.0:
+                return zeros, (i, f_i)
+            zeros += 1
+        return zeros, None
 
     # -- backend hooks ---------------------------------------------------------
 

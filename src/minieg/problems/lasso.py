@@ -259,6 +259,26 @@ class CSSession(EvaluationSession):
             q = p._c_bot.item(i - n) - self._g.item(i - n)
         return min(self._x.item(i), q)
 
+    def first_nonzero_read(self, sampler, gen, most):
+        """Read each draw from the ``F`` kept at the point, charging all reads at once.
+
+        A component read computes ``min(x_i, g_i + c_i)`` with the rounding
+        of the full read's entry, so the two are equal; they can differ only
+        in the sign of a zero, and a zero read is not returned.
+        """
+        if self._full is None:
+            self._full = self._compute_full()
+        f, zeros = self._full, 0
+        while zeros < most:
+            i = sampler(gen, self)
+            f_i = f.item(i)
+            if f_i != 0.0:
+                self._ledger.charge_component(zeros + 1)
+                return zeros, (i, f_i)
+            zeros += 1
+        self._ledger.charge_component(zeros)
+        return zeros, None
+
 
 def build_cs_instance(
     n: int,
@@ -366,7 +386,11 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
     ``measurements`` a 1-d real array, ``x_true`` an empty one or one with an
     entry per column of ``sensing``, ``reg``, ``snr_db`` and
     ``realized_snr_db`` real scalars, and ``sparsity`` and ``seed`` integer
-    scalars. A missing or unreadable file raises :class:`OSError`.
+    scalars. So does a value no instance can hold: ``measurements`` without
+    one entry per row of ``sensing``, a ``sensing`` without columns, a
+    ``sensing`` or ``measurements`` with a value that is not finite, or a
+    ``reg`` that is not positive and finite. A missing or unreadable file
+    raises :class:`OSError`.
     """
     # An open file: numpy.load leaves its own file open when a zip header is bad.
     with open(path, "rb") as file:
@@ -387,11 +411,24 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
         snr_db = float(_member(data, "snr_db", path, "real", 0))
         realized = float(_member(data, "realized_snr_db", path, "real", 0))
         seed = int(_member(data, "seed", path, "integer", 0))
+    # The values CSProblem would reject, named by the key at fault.
+    if b.size != A.shape[0]:
+        raise ConfigurationError(
+            f"{path}: key 'measurements' holds {b.size} entries, but 'sensing' has "
+            f"{A.shape[0]} rows"
+        )
     if x_true.size not in (0, A.shape[1]):
         raise ConfigurationError(
             f"{path}: key 'x_true' holds {x_true.size} entries, but 'sensing' has "
             f"{A.shape[1]} columns"
         )
+    if A.shape[1] == 0:
+        raise ConfigurationError(f"{path}: key 'sensing' holds no column")
+    for key, value in (("sensing", A), ("measurements", b)):
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{path}: key {key!r} holds a value that is not finite")
+    if not 0.0 < reg < math.inf:
+        raise ConfigurationError(f"{path}: key 'reg' must hold a positive finite number, got {reg!r}")
     meta = CSInstanceMeta(
         n=A.shape[1],
         n_measurements=A.shape[0],

@@ -39,12 +39,15 @@ when the probe residual is not finite (NaN or infinite).
 Most ``rmini`` iterations on sparse recovery are null steps: the drawn
 coordinate has ``F_i(x) = 0``, so ``y = x``, ``beta = 0`` and nothing moves.
 Once a null step has kept ``x``'s exact bytes (and ``x`` holds no -0.0,
-which a later zero step could turn into 0.0), the loop fast-forwards: it
-draws and reads coordinates until one reads nonzero, and charges each
-skipped iteration what the loop would, so results and ledgers stay bit for
-bit the same. It does so only when no callback is set and the library's
-own sampler draws, since skipped iterations are neither observed nor
-drawn through a custom sampler.
+which a later zero step could turn into 0.0), the loop fast-forwards: one
+``session.first_nonzero_read`` call draws and reads coordinates until one
+reads nonzero, and each skipped iteration is charged what the loop would
+charge it, so results and ledgers stay bit for bit the same. The
+sparse-recovery session reads the drawn coordinates from the full read it
+keeps at ``x``, which the null step made; other sessions read each through
+``eval_component``. The loop fast-forwards only when no callback is set and
+the library's own sampler draws, since skipped iterations are neither
+observed nor drawn through a custom sampler.
 
 The session makes the loop's moves and keeps ``x_k`` as its ``anchor``:
 eg's probe is ``session.probe(rho/L)`` and every step is
@@ -53,10 +56,12 @@ eg's probe is ``session.probe(rho/L)`` and every step is
 session can therefore update its cache along a move it makes itself
 instead of rebuilding; the base session rebuilds through ``set_point``.
 Every read, shift, move, projection and draw goes through the public
-session methods (``eval_full``, ``eval_component``, ``shift_coordinate``,
-``probe``, ``step``), the projection's ``__call__`` and the sampler, which
-the benchmark traces; only a fast-forward charges reads (its skipped full
-ones) without making them. The loop copies only what it reports.
+session methods (``eval_full``, ``eval_component``, ``first_nonzero_read``,
+``shift_coordinate``, ``probe``, ``step``), the projection's ``__call__`` and the sampler, which
+the benchmark traces; only a fast-forward charges reads without making
+them: the skipped full ones and, on sparse recovery, the skipped coordinate
+ones, which it takes from the kept full read. The loop copies only what it
+reports.
 """
 
 from __future__ import annotations
@@ -339,23 +344,16 @@ def _skip_null_steps(run: _Run, most: int) -> int:
     """Fast-forward rmini through up to ``most`` null steps; returns how many it skipped.
 
     Runs only while the session sits, unmoved and rebuilt, at a point ``x``
-    that one null step has just kept bit for bit, so every draw with
-    ``F_i(x) = 0`` is another iteration that moves nothing. It draws and
-    reads as the probe would and stops at the first nonzero read, which it
-    leaves in ``run.ahead`` as the next iteration's probe. Each skipped
-    iteration is charged what the loop charges it: its coordinate read, and
-    the full read at ``y = x`` in one bulk charge.
+    that one null step has just kept bit for bit and read in full, so every
+    draw with ``F_i(x) = 0`` is another iteration that moves nothing. The
+    session draws and reads as the probe would (``first_nonzero_read``) and
+    stops at the first nonzero read, which is left in ``run.ahead`` as the
+    next iteration's probe. Each skipped iteration is charged what the loop
+    charges it: its coordinate read, and the full read at ``y = x`` in one
+    bulk charge.
     """
-    session, sampler, gen = run.session, run.sampler, run.gen
-    skipped = 0
-    while skipped < most:
-        i = sampler(gen, session)
-        f_x_i = session.eval_component(i)
-        if f_x_i != 0.0:
-            run.ahead = (i, f_x_i)
-            break
-        skipped += 1
-    session.ledger.charge_full(skipped)
+    skipped, run.ahead = run.session.first_nonzero_read(run.sampler, run.gen, most)
+    run.session.ledger.charge_full(skipped)
     return skipped
 
 
@@ -440,9 +438,10 @@ def run_solver(
     ``[0, n)``, or is a bool, raises :class:`~minieg.core.ConfigurationError`
     naming the draw, the iteration and ``n``. Either one keeps ``rmini`` on the
     per-step path, which calls the sampler and the session once per
-    iteration; without them ``rmini`` fast-forwards through null steps (see
-    the module docstring) with the same result, bit for bit. The map, the
-    session and the projection are taken to be deterministic.
+    iteration; without them ``rmini`` fast-forwards through each run of null
+    steps with one ``session.first_nonzero_read`` call (see the module
+    docstring), with the same result, bit for bit. The map, the session and
+    the projection are taken to be deterministic.
 
     Wall time covers the solve loop only; any spectral setup the method
     needs is performed (and cached on the problem) before the clock starts.

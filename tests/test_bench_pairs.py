@@ -148,3 +148,40 @@ def test_a_failed_run_reports_its_exit_code_failed_lines_and_stderr(tmp_path, mo
     assert record["failure"] == {"workload": "logreg", "pair": 0, "side": "parent",
                                  "returncode": 1, "failed": failed, "stderr": stderr}
     assert record["workloads"]["logreg"]["readings"]["parent"] == {"nf_cost.eg": []}
+
+
+_CORRECT_RUN = """\
+import json
+print('env {"side": "%s"}')
+print(json.dumps({"correct": True, "attempted": %d, "failed": 0,
+                  "metrics": {"nf_cost.eg": {"value": %r}}}))
+"""
+
+
+def test_each_runs_attempted_count_is_shown_and_kept_apart_from_the_readings(
+    tmp_path, monkeypatch, capsys
+):
+    checkouts = {}
+    for side, attempted, value in (("parent", 96, 1.0), ("change", 112, 0.8)):
+        checkouts[side] = tmp_path / side
+        (checkouts[side] / "benchmarks").mkdir(parents=True)
+        (checkouts[side] / "benchmarks" / "run.py").write_text(
+            _CORRECT_RUN % (side, attempted, value))
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": "cs-desk"}],
+        "end_to_end": [{"name": "nf_cost.eg", "better": "lower", "bound": 0.25}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", checkouts["change"])
+    out = tmp_path / "record.json"
+    code = bench_pairs.main(["--parent", str(checkouts["parent"]), "--pairs", "2",
+                             "--seconds", "1", "--out", str(out)])
+    assert code == 0
+    printed = capsys.readouterr().out
+    assert "cs-desk pair 0 parent: attempted=96 nf_cost.eg=1\n" in printed
+    assert "cs-desk pair 1 change: attempted=112 nf_cost.eg=0.8\n" in printed
+    record = json.loads(out.read_text())
+    assert record["env"] == {"parent": {"side": "parent"}, "change": {"side": "change"}}
+    workload = record["workloads"]["cs-desk"]
+    assert workload["attempted"] == {"parent": [96, 96], "change": [112, 112]}
+    assert workload["readings"] == {"parent": {"nf_cost.eg": [1.0, 1.0]},
+                                    "change": {"nf_cost.eg": [0.8, 0.8]}}
+    assert [(v["metric"], v["verdict"]) for v in workload["verdicts"]] == [("nf_cost.eg", "gain")]

@@ -435,3 +435,16 @@ def test_an_instance_whose_planted_signal_has_the_wrong_length_exits_with_an_err
     assert code == 2
     assert captured.err.startswith("error:") and f"{path}: key 'x_true'" in captured.err
     assert captured.out == ""
+
+
+def test_an_instance_with_a_negative_reg_exits_with_an_error(tmp_path, capsys):
+    path = tmp_path / "instance.npz"
+    save_instance(path, build_cs_instance(16, 8, 2))
+    with np.load(path) as data:
+        fields = {k: data[k] for k in data.files}
+    np.savez(path, **{**fields, "reg": np.array(-1.0)})
+    code = main(["bench", "--instance", str(path), "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and f"{path}: key 'reg'" in captured.err
+    assert captured.out == ""

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -376,3 +377,22 @@ def test_an_archive_may_hold_integers_for_its_reals(tmp_path):
     _rewrite_instance(path, reg=np.array(1), snr_db=np.array(20), seed=np.uint64(3))
     loaded = load_instance(path)
     assert loaded.reg == 1.0 and loaded.meta.snr_db == 20.0 and loaded.meta.seed == 3
+
+
+# Members of the right kind and shape whose values no instance can hold.
+INVALID_VALUES = {
+    "short-measurements": ({"measurements": np.zeros(5)},
+                           "key 'measurements' holds 5 entries, but 'sensing' has 8 rows"),
+    "negative-reg": ({"reg": np.array(-1.0)}, "key 'reg' must hold a positive finite number"),
+    "nan-sensing": ({"sensing": np.full((8, 16), np.nan)}, "key 'sensing' holds a value that is not"),
+    "no-columns": ({"sensing": np.zeros((8, 0)), "x_true": np.zeros(0)}, "key 'sensing' holds no"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_VALUES))
+def test_an_archive_with_an_invalid_value_names_the_path_and_the_key(case, tmp_path):
+    members, needle = INVALID_VALUES[case]
+    path = tmp_path / "instance.npz"
+    _rewrite_instance(path, **members)
+    with pytest.raises(ConfigurationError, match=re.escape(f"{path}: {needle}")):
+        load_instance(path)

@@ -265,6 +265,34 @@ def test_a_step_that_keeps_the_point_skips_the_rebuild(name):
         assert np.signbit(obs.x_next[flip]) == (obs.k % 2 == 0)
 
 
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("name", sorted(NULL_AT_ORIGIN))
+def test_first_nonzero_read_returns_what_component_reads_return(name, read_first):
+    problem = NULL_AT_ORIGIN[name]()
+    origin = np.zeros(problem.dim)
+    reference = problem.open_session(origin, CostLedger(problem.dim))
+    reads = [reference.eval_component(i) for i in range(problem.dim)]
+    zeros = [i for i, value in enumerate(reads) if value == 0.0]
+    nonzero = next(i for i, value in enumerate(reads) if value != 0.0)
+    ledger = CostLedger(problem.dim)
+    session = problem.open_session(origin, ledger)
+    if read_first:  # the fast-forward's case: a full read kept at the point
+        session.eval_full()
+    draws = iter(zeros[:3] + [nonzero] + [zeros[0]] * 2)
+    gen = seeded_generator(0, STREAM_SOLVER)
+
+    def sampler(drawn_with, drawn_for):
+        assert drawn_with is gen and drawn_for is session
+        return next(draws)
+
+    zero_reads, (i, f_i) = session.first_nonzero_read(sampler, gen, problem.dim)
+    assert (zero_reads, i) == (len(zeros[:3]), nonzero)
+    assert f_i.hex() == reads[nonzero].hex()
+    assert session.first_nonzero_read(sampler, gen, 2) == (2, None)
+    assert session.first_nonzero_read(sampler, gen, 0) == (0, None)
+    assert (ledger.full_evals, ledger.component_evals) == (read_first, zero_reads + 3)
+
+
 @pytest.mark.parametrize("name", sorted(BACKENDS))
 def test_set_point_after_a_shift_rebuilds(name):
     problem = BACKENDS[name]()

@@ -787,6 +787,12 @@ FAST_FORWARD_CASES = {
     "logreg-dense": (lambda: synthetic_logreg(20, 40, seed=11), SolverConfig(seed=1, tolerance=1e-6)),
     # Iterations 388-397 are null steps; the cap ends the run at 394.
     "cs-cap": (lambda: build_cs_instance(32, 12, 4, seed=11), SolverConfig(seed=1, max_iterations=395)),
+    # The benchmark's desk shape, whose rmini runs are mostly null steps.
+    **{
+        f"cs-desk-{s}": (lambda s=s: build_cs_instance(256, 64, 8, seed=s),
+                         SolverConfig(seed=s, tolerance=1e-3))
+        for s in range(2)
+    },
 }
 
 
@@ -800,6 +806,8 @@ def test_fast_forward_matches_the_per_step_path(case):
     assert _outcome(fast) == _outcome(stepped)
     if case.startswith("cs"):  # null steps were skipped, and charged all the same
         assert reads["eval_full"] < fast.ledger.full_evals
+        # The skipped coordinates were read from the kept full read.
+        assert reads["eval_component"] < fast.ledger.component_evals
     else:  # no null steps: every iteration went through the loop
         assert reads["eval_full"] == fast.ledger.full_evals
 
@@ -854,6 +862,49 @@ def test_fast_forward_keeps_negative_zeros_exact(projection, seed):
     # The -0.0 turns into 0.0 at the first draw of coordinate 2.
     first = next(o.k for o in obs if o.selected_index == 2)
     assert all(np.signbit(o.x_next[0]) == (o.k < first) for o in obs)
+
+
+class _HiddenCoordinate(MonotoneMapping):
+    """``F(x) = x - 1`` on R^2, whose session reads coordinate 1 as exactly 0.0.
+
+    The full read's entry ``x_1 - 1`` is not zero, so a fast-forward that read
+    the kept ``F`` instead of calling ``eval_component`` would take a probe
+    along coordinate 1 that the per-step path never takes.
+    """
+
+    @property
+    def dim(self):
+        return 2
+
+    @property
+    def componentwise_lipschitz(self):
+        return np.ones(2)
+
+    def eval_full(self, x):
+        return self._check_point(x) - 1.0
+
+    def open_session(self, x0, ledger):
+        return _HiddenCoordinateSession(self, x0, ledger)
+
+
+class _HiddenCoordinateSession(_GenericSession):
+    def _compute_component(self, i):
+        return 0.0 if i == 1 else float(self._f[i])
+
+
+def test_a_fast_forward_reads_each_draw_through_a_generic_session():
+    problem = _HiddenCoordinate()
+    # Iterations 17-21 draw coordinate 1, so the cap ends a fast-forward too.
+    config = SolverConfig(seed=1, max_iterations=21)
+    reads = _count_session_calls(problem)
+    fast = run_solver(problem, "rmini", config)
+    stepped, obs = _collect(_HiddenCoordinate(), "rmini", config)
+    assert _outcome(fast) == _outcome(stepped)
+    assert reads["eval_full"] < fast.ledger.full_evals  # it did fast-forward
+    assert reads["eval_component"] == fast.ledger.component_evals
+    assert {o.selected_index for o in obs} == {0, 1}
+    assert all(o.selected_value == 0.0 for o in obs if o.selected_index == 1)
+    assert problem.eval_full(fast.final_point)[1] != 0.0
 
 
 def test_a_custom_sampler_reads_every_iteration_through_the_session():
