@@ -11,9 +11,14 @@ half-open range ``A:B`` and each method of the workload it builds the
 instance afresh, solves it and checks the solve exactly as
 ``benchmarks/run.py`` does, through ``benchmarks/harness.py``: ``set_up``,
 ``config``, ``timed_solve`` and ``check_solve``. It prints one line per
-solve: the seed, the method, the status, iterations, NF and seconds, then
-``ok`` or the reasons the check failed. A solve that raises counts as
-failed, and its traceback goes to standard error.
+solve: the seed, the method, the status, iterations, NF, seconds and a
+fingerprint of the result (see :func:`fingerprint`), then ``ok`` or the
+reasons the check failed. A solve that raises counts as failed, and its
+traceback goes to standard error.
+
+Every field but the seconds is deterministic, so two checkouts solve every
+instance bit for bit alike exactly when their scans print the same lines
+once the seconds are dropped, for example with ``sed -E 's/, [0-9.]+ s,/,/'``.
 
 The exit code is 1 when any solve failed or raised, and 0 otherwise.
 """
@@ -21,6 +26,7 @@ The exit code is 1 when any solve failed or raised, and 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 import traceback
 from pathlib import Path
@@ -41,6 +47,19 @@ def parse_seeds(text: str) -> range:
     return seeds
 
 
+def fingerprint(result) -> str:
+    """The status, the iterations, both ledger counts, the final residual in
+    exact hex and a 16-digit SHA-256 prefix of the final point's bytes.
+
+    A result with any other bit in these fields prints another fingerprint,
+    but for a collision of the point's digest prefix.
+    """
+    point = hashlib.sha256(result.final_point.tobytes()).hexdigest()[:16]
+    ledger = result.ledger
+    return (f"{result.status.value}/{result.iterations}/{ledger.full_evals}/"
+            f"{ledger.component_evals}/{result.final_residual.hex()}/{point}")
+
+
 def check_one(workload: harness.Workload, seed: int, method: str) -> tuple[str, list[str]]:
     """One solve as the benchmark makes it: a summary and the reasons it failed (none if ok)."""
     try:
@@ -52,7 +71,7 @@ def check_one(workload: harness.Workload, seed: int, method: str) -> tuple[str, 
         traceback.print_exc(file=sys.stderr)
         return "raised", [f"{type(exc).__name__}: {exc}"]
     summary = (f"{result.status.value}, {result.iterations} iterations, "
-               f"nf {result.nf:.6g}, {end - start:.3f} s")
+               f"nf {result.nf:.6g}, {end - start:.3f} s, fingerprint {fingerprint(result)}")
     return summary, errors
 
 

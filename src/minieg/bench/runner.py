@@ -35,6 +35,7 @@ from ..problems import (
     random_spd_affine,
     skew_rotation_problem,
 )
+from ..problems.lasso import _REG_SCALE
 from ..problems.logreg import LogRegProblem
 from ..solvers import (
     METHOD_IDS,
@@ -98,7 +99,7 @@ class SyntheticCSSource(_FieldSource):
     sparsity: int
     snr_db: float = 20.0
     seed: int = 0
-    reg_scale: float = 0.1
+    reg_scale: float = _REG_SCALE
     fresh_per_trial: bool = field(default=True, init=False)
 
     def build(self, seed: int) -> MonotoneMapping:

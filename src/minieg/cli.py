@@ -59,7 +59,7 @@ def _parse_cs(text: str) -> tuple[int, int, int, float]:
         )
     try:
         n, m, k = (int(p) for p in parts[:3])
-        snr = float(parts[3]) if len(parts) == 4 else 20.0
+        snr = float(parts[3]) if len(parts) == 4 else SyntheticCSSource.snr_db
     except ValueError:
         raise ConfigurationError(f"could not parse --cs value {text!r}") from None
     return n, m, k, snr
@@ -94,14 +94,14 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reg",
         type=float,
-        default=0.1,
-        help="ridge weight for --libsvm problems (default 0.1)",
+        default=LibsvmSource.reg,
+        help="ridge weight for --libsvm problems (default %(default)s)",
     )
     parser.add_argument(
         "--reg-scale",
         type=float,
-        default=0.1,
-        help="l1 penalty scale for --cs problems (default 0.1)",
+        default=SyntheticCSSource.reg_scale,
+        help="l1 penalty scale for --cs problems (default %(default)s)",
     )
 
 
@@ -124,22 +124,25 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, formats: dict) -> Non
         default=10,
         help="number of trials (default 10; the full protocol uses 100)",
     )
-    parser.add_argument("--x0", choices=["zeros", "gaussian"], default="zeros")
+    parser.add_argument(
+        "--x0", choices=["zeros", "gaussian"], default=ExperimentSpec.x0_policy
+    )
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=list(formats), default=next(iter(formats)))
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho", type=float, default=0.999, help="probe-step fraction in (0,1)")
+    cfg = SolverConfig()  # the library's defaults
+    parser.add_argument("--rho", type=float, default=cfg.rho, help="probe-step fraction in (0,1)")
     parser.add_argument(
         "--gamma",
         type=float,
-        default=0.0,
+        default=cfg.gamma,
         help="coordinate-draw exponent for the randomized methods (0 = uniform)",
     )
-    parser.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-    parser.add_argument("--max-iters", type=int, default=500_000, help="iteration cap")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
+    parser.add_argument("--tol", type=float, default=cfg.tolerance, help="residual tolerance")
+    parser.add_argument("--max-iters", type=int, default=cfg.max_iterations, help="iteration cap")
+    parser.add_argument("--seed", type=int, default=cfg.seed, help="base seed for all randomness")
 
 
 def _source_from_args(args: argparse.Namespace):
@@ -321,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, required=True, help="signal dimension")
     gen.add_argument("--measurements", type=int, required=True)
     gen.add_argument("--sparsity", type=int, required=True)
-    gen.add_argument("--snr-db", type=float, default=20.0)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--reg-scale", type=float, default=0.1)
+    gen.add_argument("--snr-db", type=float, default=SyntheticCSSource.snr_db)
+    gen.add_argument("--seed", type=int, default=SyntheticCSSource.seed)
+    gen.add_argument("--reg-scale", type=float, default=SyntheticCSSource.reg_scale)
     gen.add_argument("--out", required=True, help="NPZ output path")
     gen.set_defaults(func=_cmd_gen_cs)
 

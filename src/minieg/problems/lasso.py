@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 _FORMAT_TAG = "minieg-cs-v1"
+# The default reg is this multiple of ||A^T b||_inf (see _derived_reg).
+_REG_SCALE = 0.1
 # The dtype kinds a member of the format may hold, by what it holds.
 _DTYPE_KINDS = {"text": "U", "real": "iuf", "integer": "iu"}
 
@@ -68,6 +70,23 @@ class CSInstanceMeta:
     seed: int | None
 
 
+def _derived_reg(atb: np.ndarray, scale: float, name: str | None = None) -> float:
+    """The regularization weight ``scale * ||A^T b||_inf``.
+
+    Raises :class:`ConfigurationError` naming the rule and its scale (as
+    ``name`` when one is given) when the weight is not positive and finite:
+    a zero ``b``, a sensing matrix without rows, or a scale that is not
+    positive and finite.
+    """
+    reg = scale * float(np.abs(atb).max())
+    if not (np.isfinite(reg) and reg > 0):
+        rule = f"{scale!r}·‖Aᵀb‖∞" if name is None else f"{name}·‖Aᵀb‖∞ ({name}={scale!r})"
+        raise ConfigurationError(
+            f"the derived reg {rule} is {reg!r}; it must be positive and finite"
+        )
+    return reg
+
+
 class CSProblem(MonotoneMapping):
     """Complementarity form of l1-regularized least squares.
 
@@ -77,7 +96,8 @@ class CSProblem(MonotoneMapping):
     the slope of ``min(z_i, (Hz+c)_i)`` along ``e_i`` is either 1 or
     ``H_ii``. The global constant scales the estimated spectral norm of
     ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(); a power iteration
-    that does not converge raises :class:`ConfigurationError`.
+    that does not converge raises :class:`ConfigurationError`. ``reg``
+    defaults to ``0.1 * ||A^T b||_inf``.
     """
 
     def __init__(
@@ -110,7 +130,7 @@ class CSProblem(MonotoneMapping):
         self._G = A.T @ A                      # Gram matrix, cached for row shifts
         atb = A.T @ b
         if reg is None:
-            reg = 0.1 * float(np.abs(atb).max())
+            reg = _derived_reg(atb, _REG_SCALE)
         if not (_is_real(reg) and np.isfinite(reg) and reg > 0):
             raise ConfigurationError(f"reg must be a positive and finite real number, got {reg!r}")
         self._reg = float(reg)
@@ -287,7 +307,7 @@ def build_cs_instance(
     *,
     snr_db: float = 20.0,
     seed: int = 0,
-    reg_scale: float = 0.1,
+    reg_scale: float = _REG_SCALE,
 ) -> CSProblem:
     """Generate a synthetic sparse-recovery instance.
 
@@ -337,7 +357,6 @@ def build_cs_instance(
         )
     b = clean + noise
     realized = 20.0 * np.log10(np.linalg.norm(clean) / scaled_norm) if scaled_norm > 0 else np.inf
-    atb = A.T @ b
     meta = CSInstanceMeta(
         n=n,
         n_measurements=n_measurements,
@@ -349,7 +368,7 @@ def build_cs_instance(
     return CSProblem(
         A,
         b,
-        reg=reg_scale * float(np.abs(atb).max()),
+        reg=_derived_reg(A.T @ b, reg_scale, "reg_scale"),
         x_true=x_true,
         meta=meta,
         spectral_seed=seed,

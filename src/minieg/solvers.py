@@ -39,7 +39,8 @@ when the probe residual is not finite (NaN or infinite).
 Most ``rmini`` iterations on sparse recovery are null steps: the drawn
 coordinate has ``F_i(x) = 0``, so ``y = x``, ``beta = 0`` and nothing moves.
 Once a null step has kept ``x``'s exact bytes (and ``x`` holds no -0.0,
-which a later zero step could turn into 0.0), the loop fast-forwards: one
+which a later zero step could turn into 0.0), and at least one iteration is
+left to skip before the cap, the loop fast-forwards: one
 ``session.first_nonzero_read`` call draws and reads coordinates until one
 reads nonzero, and each skipped iteration is charged what the loop would
 charge it, so results and ledgers stay bit for bit the same. The
@@ -340,23 +341,6 @@ def _probe_rmini(run: _Run):
     return i, run.session.eval_component(i), {}
 
 
-def _skip_null_steps(run: _Run, most: int) -> int:
-    """Fast-forward rmini through up to ``most`` null steps; returns how many it skipped.
-
-    Runs only while the session sits, unmoved and rebuilt, at a point ``x``
-    that one null step has just kept bit for bit and read in full, so every
-    draw with ``F_i(x) = 0`` is another iteration that moves nothing. The
-    session draws and reads as the probe would (``first_nonzero_read``) and
-    stops at the first nonzero read, which is left in ``run.ahead`` as the
-    next iteration's probe. Each skipped iteration is charged what the loop
-    charges it: its coordinate read, and the full read at ``y = x`` in one
-    bulk charge.
-    """
-    skipped, run.ahead = run.session.first_nonzero_read(run.sampler, run.gen, most)
-    run.session.ledger.charge_full(skipped)
-    return skipped
-
-
 def _start_wmax(run: _Run) -> bool:
     """Seed the reference with gmini's probe at ``x_0``; True when ``x_0`` is a root."""
     run.reference = _probe_gmini(run)[0]
@@ -525,11 +509,15 @@ def run_solver(
                 break
             beta = product / norm_sq if i is None else rho * product / (l_list[i] * norm_sq)
             # A step that keeps an unmoved session's bytes returns False and
-            # leaves the session at x, rebuilt.
-            if not session.step(beta, proj) and fast_forward and _same_bytes(x + 0.0, x):
-                # x + 0.0 turns -0.0 into 0.0 and keeps every other byte. Without
-                # -0.0 in x, every later zero step computes x's bytes too.
-                k += _skip_null_steps(run, last_k - k - 1)
+            # leaves the session at x, rebuilt and read in full. x + 0.0 turns
+            # -0.0 into 0.0 and keeps every other byte. The first nonzero read
+            # waits in run.ahead as the next probe, and the skipped iterations'
+            # full reads at y = x are charged here in one bulk charge.
+            if (not session.step(beta, proj) and fast_forward
+                    and (most := last_k - k - 1) >= 1 and _same_bytes(x + 0.0, x)):
+                skipped, run.ahead = session.first_nonzero_read(run.sampler, run.gen, most)
+                ledger.charge_full(skipped)
+                k += skipped
 
         if callback is not None:
             callback(StepObservation(

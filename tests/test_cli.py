@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving ``minieg.cli.main``."""
 
+import inspect
 import itertools
 import json
 import math
@@ -11,8 +12,15 @@ import numpy as np
 import pytest
 
 import minieg.cli
-from minieg import RunStatus
-from minieg.bench import RankPoint, SweepResult, load_results_schema
+from minieg import METHOD_IDS, RunStatus, SolverConfig
+from minieg.bench import (
+    ExperimentSpec,
+    LibsvmSource,
+    RankPoint,
+    SweepResult,
+    SyntheticCSSource,
+    load_results_schema,
+)
 from minieg.cli import main
 from minieg.problems import build_cs_instance, save_instance
 
@@ -448,3 +456,29 @@ def test_an_instance_with_a_negative_reg_exits_with_an_error(tmp_path, capsys):
     assert code == 2
     assert captured.err.startswith("error:") and f"{path}: key 'reg'" in captured.err
     assert captured.out == ""
+
+
+def test_bench_defaults_are_the_librarys():
+    args = minieg.cli.build_parser().parse_args(["bench", "--cs", "8,4,2"])
+    spec = minieg.cli._spec_from_args(args)
+    assert spec == ExperimentSpec(SyntheticCSSource(8, 4, 2), METHOD_IDS, trials=10)
+    assert spec.config == SolverConfig()
+    args = minieg.cli.build_parser().parse_args(["bench", "--libsvm", "data.svm"])
+    assert minieg.cli._source_from_args(args) == LibsvmSource("data.svm")
+
+
+def test_gen_cs_defaults_are_the_librarys(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def build(*args, **kwargs):
+        calls.append(kwargs)
+        return build_cs_instance(*args, **kwargs)
+
+    monkeypatch.setattr(minieg.cli, "build_cs_instance", build)
+    out = tmp_path / "instance.npz"
+    assert main(["gen-cs", "--n", "8", "--measurements", "4", "--sparsity", "2",
+                 "--out", str(out)]) == 0
+    source = SyntheticCSSource(8, 4, 2)
+    signature = inspect.signature(build_cs_instance).parameters
+    assert calls == [{name: getattr(source, name) for name in ("snr_db", "seed", "reg_scale")}]
+    assert all(signature[name].default == value for name, value in calls[0].items())

@@ -342,6 +342,32 @@ def test_a_positive_real_reg_is_accepted(reg):
     assert CSProblem(np.ones((2, 2)), np.ones(2), reg=reg).reg == 0.1
 
 
+@pytest.mark.parametrize("sensing, measurements", [
+    (np.zeros((0, 4)), np.zeros(0)),  # no rows
+    (np.ones((3, 4)), np.zeros(3)),   # a zero b
+], ids=["no-rows", "zero-b"])
+def test_a_derived_reg_that_is_not_positive_names_its_rule(sensing, measurements):
+    with pytest.raises(ConfigurationError, match=re.escape("0.1·‖Aᵀb‖∞ is 0.0")):
+        CSProblem(sensing, measurements)
+
+
+def test_a_zero_reg_scale_is_named():
+    with pytest.raises(ConfigurationError, match=re.escape("reg_scale·‖Aᵀb‖∞ (reg_scale=0.0)")):
+        build_cs_instance(16, 8, 2, reg_scale=0.0)
+
+
+def test_an_explicit_zero_reg_keeps_its_message():
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "reg must be a positive and finite real number, got 0.0")):
+        CSProblem(np.ones((3, 4)), np.ones(3), reg=0.0)
+
+
+def test_the_default_reg_is_the_derived_rule():
+    problem = build_cs_instance(16, 8, 2, seed=3)
+    A, b = problem.sensing, problem.measurements
+    assert CSProblem(A, b).reg == problem.reg == 0.1 * float(np.abs(A.T @ b).max())
+
+
 def _rewrite_instance(path, **members):
     """Save a small instance to ``path`` with some of its members replaced."""
     save_instance(path, build_cs_instance(16, 8, 2))

@@ -181,6 +181,13 @@ def test_repeated_full_reads_are_fresh_copies_and_charged(name):
     assert (ledger.full_evals, ledger.component_evals) == (3, 0)
 
 
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_a_session_hands_out_the_ledger_it_charges(name):
+    problem = BACKENDS[name]()
+    ledger = CostLedger(problem.dim)
+    assert problem.open_session(np.zeros(problem.dim), ledger).ledger is ledger
+
+
 def _zero_feature_logreg(sparse):
     """A design whose feature 0 is all zeros, so ``F_0`` reads exactly 0 at the origin."""
     X, labels = _random_design(11)

@@ -907,6 +907,46 @@ def test_a_fast_forward_reads_each_draw_through_a_generic_session():
     assert problem.eval_full(fast.final_point)[1] != 0.0
 
 
+def _record_scans(problem):
+    """The ``most`` of every ``first_nonzero_read`` call of the sessions the problem opens."""
+    asks = []
+    open_session = problem.open_session
+
+    def open_recorded(x0, ledger):
+        session = open_session(x0, ledger)
+        scan = session.first_nonzero_read
+
+        def recorded(sampler, gen, most):
+            asks.append(most)
+            return scan(sampler, gen, most)
+
+        session.first_nonzero_read = recorded
+        return session
+
+    problem.open_session = open_recorded
+    return asks
+
+
+NULL_RUN_ENDS = {
+    # Null steps on the last iterations: the cap falls inside a null run.
+    "hidden-21": (_HiddenCoordinate, SolverConfig(seed=1, max_iterations=21)),
+    "hidden-40": (_HiddenCoordinate, SolverConfig(seed=1, max_iterations=40)),
+    "cs-desk-cap": (lambda: build_cs_instance(256, 64, 8, seed=0),
+                    SolverConfig(seed=0, max_iterations=1316, tolerance=1e-8)),
+}
+
+
+@pytest.mark.parametrize("case", list(NULL_RUN_ENDS))
+def test_a_fast_forward_is_entered_only_with_an_iteration_to_skip(case):
+    build, config = NULL_RUN_ENDS[case]
+    problem = build()
+    asks = _record_scans(problem)
+    fast = run_solver(problem, "rmini", config)
+    stepped = run_solver(build(), "rmini", config, callback=lambda obs: None)
+    assert _outcome(fast) == _outcome(stepped)
+    assert asks and min(asks) >= 1
+
+
 def test_a_custom_sampler_reads_every_iteration_through_the_session():
     problem = build_cs_instance(32, 12, 4, seed=11)
     config = SolverConfig(seed=1)
