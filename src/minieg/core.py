@@ -58,6 +58,17 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _checked_reg(reg) -> float:
+    """An explicit regularization weight ``reg`` as a float.
+
+    Raises :class:`ConfigurationError`, naming ``'reg'`` first, unless it is
+    a positive and finite real number.
+    """
+    if not (_is_real(reg) and np.isfinite(reg) and reg > 0):
+        raise ConfigurationError(f"'reg' must be a positive and finite real number, got {reg!r}")
+    return float(reg)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic random streams
 # ---------------------------------------------------------------------------

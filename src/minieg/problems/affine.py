@@ -31,7 +31,9 @@ class AffineMonotoneProblem(MonotoneMapping):
     Componentwise Lipschitz constants default to ``|diag(M)|`` (the exact
     slope of ``F_i`` along ``e_i``); matrices with zeros on the diagonal
     require explicit constants, since the solvers divide by them. The global
-    constant is the spectral norm of ``M``, computed exactly on demand.
+    constant is the spectral norm of ``M``, computed exactly on demand. A
+    ``matrix`` or ``rhs`` with a value that is not finite raises
+    :class:`ConfigurationError`; ``run_solver`` checks the constants.
     """
 
     def __init__(
@@ -53,6 +55,9 @@ class AffineMonotoneProblem(MonotoneMapping):
         self._rhs = np.zeros(n) if rhs is None else np.array(rhs, dtype=float)
         if self._rhs.shape != (n,):
             raise ConfigurationError(f"rhs must have shape ({n},), got {self._rhs.shape}")
+        for name, value in (("matrix", M), ("rhs", self._rhs)):
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name!r} holds a value that is not finite")
 
         if validate:
             sym = 0.5 * (M + M.T)

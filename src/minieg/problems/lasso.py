@@ -38,6 +38,7 @@ from ..core import (
     NonnegativeProjection,
     Projection,
     STREAM_INSTANCE,
+    _checked_reg,
     _is_real,
     seeded_generator,
 )
@@ -98,6 +99,13 @@ class CSProblem(MonotoneMapping):
     ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(); a power iteration
     that does not converge raises :class:`ConfigurationError`. ``reg``
     defaults to ``0.1 * ||A^T b||_inf``.
+
+    Every value error names the argument at fault first, quoted: a
+    ``sensing`` that is not 2-d or has no column, ``measurements`` that are
+    not 1-d with one entry per row of ``sensing``, an ``x_true`` without one
+    entry per column of ``sensing``, any of the three holding a value that is
+    not finite, or an explicit ``reg`` that is not a positive and finite real
+    number. A derived ``reg`` that is not positive and finite names its rule.
     """
 
     def __init__(
@@ -111,29 +119,35 @@ class CSProblem(MonotoneMapping):
         spectral_seed: int = 0,
     ) -> None:
         A = np.array(sensing, dtype=float)
-        b = np.array(measurements, dtype=float).ravel()
+        b = np.array(measurements, dtype=float)
+        x = None if x_true is None else np.array(x_true, dtype=float)
         if A.ndim != 2:
-            raise ConfigurationError(f"sensing matrix must be 2-d, got shape {A.shape}")
-        if A.shape[0] != b.shape[0]:
-            raise ConfigurationError(
-                f"sensing matrix has {A.shape[0]} rows but rhs has {b.shape[0]} entries"
-            )
+            raise ConfigurationError(f"'sensing' must be 2-d, got shape {A.shape}")
         n = A.shape[1]
         if n == 0:
-            raise ConfigurationError("sensing matrix needs at least one column")
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
-            raise ConfigurationError("sensing matrix and measurements must be finite")
+            raise ConfigurationError("'sensing' holds no column")
+        if b.ndim != 1:
+            raise ConfigurationError(f"'measurements' must be 1-d, got shape {b.shape}")
+        if b.size != A.shape[0]:
+            raise ConfigurationError(
+                f"'measurements' holds {b.size} entries, but 'sensing' has {A.shape[0]} rows"
+            )
+        if x is not None and x.shape != (n,):
+            raise ConfigurationError(
+                f"'x_true' must hold one entry per column of 'sensing' ({n}), got shape {x.shape}"
+            )
+        for name, value in (("sensing", A), ("measurements", b), ("x_true", x)):
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{name!r} holds a value that is not finite")
+        if reg is not None:
+            reg = _checked_reg(reg)
 
         self._A = A
         self._b = b
         self._n_signal = n
         self._G = A.T @ A                      # Gram matrix, cached for row shifts
         atb = A.T @ b
-        if reg is None:
-            reg = _derived_reg(atb, _REG_SCALE)
-        if not (_is_real(reg) and np.isfinite(reg) and reg > 0):
-            raise ConfigurationError(f"reg must be a positive and finite real number, got {reg!r}")
-        self._reg = float(reg)
+        self._reg = _derived_reg(atb, _REG_SCALE) if reg is None else reg
         self._c_top = self._reg - atb          # (Hz+c) upper half offset
         self._c_bot = self._reg + atb          # lower half offset
 
@@ -141,7 +155,7 @@ class CSProblem(MonotoneMapping):
         self._l = np.concatenate([h, h])
         self._spectral_seed = spectral_seed
 
-        self.x_true = None if x_true is None else np.array(x_true, dtype=float)
+        self.x_true = x
         self.meta = meta
 
     # -- contract ---------------------------------------------------------
@@ -401,15 +415,13 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
     :func:`numpy.load` cannot read as an archive without pickles, and naming
     the path and the key for an archive that lacks a key of the
     ``minieg-cs-v1`` format, holds pickled objects under it, or holds a
-    member of the wrong kind or shape: ``sensing`` must be a 2-d and
-    ``measurements`` a 1-d real array, ``x_true`` an empty one or one with an
-    entry per column of ``sensing``, ``reg``, ``snr_db`` and
+    member of the wrong kind or rank: ``sensing`` must be a 2-d and
+    ``measurements`` and ``x_true`` 1-d real arrays, ``reg``, ``snr_db`` and
     ``realized_snr_db`` real scalars, and ``sparsity`` and ``seed`` integer
-    scalars. So does a value no instance can hold: ``measurements`` without
-    one entry per row of ``sensing``, a ``sensing`` without columns, a
-    ``sensing`` or ``measurements`` with a value that is not finite, or a
-    ``reg`` that is not positive and finite. A missing or unreadable file
-    raises :class:`OSError`.
+    scalars. The value rules come from :class:`CSProblem`, whose errors name
+    the argument at fault, which is also its key; they are raised again as
+    ``"{path}: key {error}"``. An empty ``x_true`` stands for none. A
+    missing or unreadable file raises :class:`OSError`.
     """
     # An open file: numpy.load leaves its own file open when a zip header is bad.
     with open(path, "rb") as file:
@@ -430,24 +442,6 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
         snr_db = float(_member(data, "snr_db", path, "real", 0))
         realized = float(_member(data, "realized_snr_db", path, "real", 0))
         seed = int(_member(data, "seed", path, "integer", 0))
-    # The values CSProblem would reject, named by the key at fault.
-    if b.size != A.shape[0]:
-        raise ConfigurationError(
-            f"{path}: key 'measurements' holds {b.size} entries, but 'sensing' has "
-            f"{A.shape[0]} rows"
-        )
-    if x_true.size not in (0, A.shape[1]):
-        raise ConfigurationError(
-            f"{path}: key 'x_true' holds {x_true.size} entries, but 'sensing' has "
-            f"{A.shape[1]} columns"
-        )
-    if A.shape[1] == 0:
-        raise ConfigurationError(f"{path}: key 'sensing' holds no column")
-    for key, value in (("sensing", A), ("measurements", b)):
-        if not np.all(np.isfinite(value)):
-            raise ConfigurationError(f"{path}: key {key!r} holds a value that is not finite")
-    if not 0.0 < reg < math.inf:
-        raise ConfigurationError(f"{path}: key 'reg' must hold a positive finite number, got {reg!r}")
     meta = CSInstanceMeta(
         n=A.shape[1],
         n_measurements=A.shape[0],
@@ -456,14 +450,11 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
         realized_snr_db=None if np.isnan(realized) else realized,
         seed=None if seed < 0 else seed,
     )
-    return CSProblem(
-        A,
-        b,
-        reg=reg,
-        x_true=None if x_true.size == 0 else x_true,
-        meta=meta,
-        spectral_seed=spectral_seed,
-    )
+    x_true = None if x_true.size == 0 else x_true
+    try:  # CSProblem names the argument at fault first, and each argument is its key
+        return CSProblem(A, b, reg=reg, x_true=x_true, meta=meta, spectral_seed=spectral_seed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: key {exc}") from None
 
 
 def _member(data, key: str, path, kind: str, ndim: int):

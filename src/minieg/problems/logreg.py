@@ -39,7 +39,7 @@ from ..core import (
     EvaluationSession,
     MonotoneMapping,
     STREAM_INSTANCE,
-    _is_real,
+    _checked_reg,
     seeded_generator,
 )
 from .spectral import estimate_lambda_max, require_converged
@@ -79,9 +79,10 @@ class LogRegProblem(MonotoneMapping):
     """
 
     def __init__(self, features, labels, *, reg: float = 0.1, spectral_seed: int = 0) -> None:
-        if not (_is_real(reg) and np.isfinite(reg) and reg > 0):
-            raise ConfigurationError(f"reg must be a positive and finite real number, got {reg!r}")
-        labels = np.asarray(labels, dtype=float).ravel()
+        reg = _checked_reg(reg)
+        labels = np.asarray(labels, dtype=float)
+        if labels.ndim != 1:
+            raise ConfigurationError(f"'labels' must be 1-d, got shape {labels.shape}")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ConfigurationError("labels must be +-1")
 
@@ -108,7 +109,7 @@ class LogRegProblem(MonotoneMapping):
         # (N, n) for margin rebuilds: a transposed view of a dense A, a CSR copy of a sparse one.
         self._At = A.T.tocsr() if self._sparse else A.T
         self._b = labels
-        self._reg = float(reg)
+        self._reg = reg
         self._n, self._N = A.shape
         if self._n == 0 or self._N == 0:
             raise ConfigurationError("need at least one feature and one sample")

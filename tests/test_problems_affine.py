@@ -9,6 +9,14 @@ from minieg.problems import AffineMonotoneProblem, random_spd_affine, skew_rotat
 REJECTED = {
     "non-square": (lambda: AffineMonotoneProblem(np.ones((2, 3))), "must be square"),
     "rhs-shape": (lambda: AffineMonotoneProblem(np.eye(2), rhs=np.ones(3)), "rhs must have shape"),
+    "nan-matrix": (
+        lambda: AffineMonotoneProblem(np.full((2, 2), np.nan)),
+        "'matrix' holds a value that is not finite",
+    ),
+    "inf-rhs": (
+        lambda: AffineMonotoneProblem(np.eye(2), rhs=[np.inf, 0.0]),
+        "'rhs' holds a value that is not finite",
+    ),
     "not-monotone": (
         lambda: AffineMonotoneProblem(np.diag([1.0, -1.0]), componentwise_lipschitz=[1.0, 1.0]),
         "not monotone",

@@ -11,6 +11,7 @@ from minieg import ConfigurationError, CostLedger, run_solver, SolverConfig, see
 from minieg.core import STREAM_SOLVER
 from minieg.problems import (
     CSProblem,
+    LogRegProblem,
     SpectralEstimate,
     build_cs_instance,
     estimate_lambda_max,
@@ -282,6 +283,14 @@ def test_problem_validation():
         CSProblem(np.zeros((4, 3)), np.zeros(5))
     with pytest.raises(ConfigurationError):
         CSProblem(np.ones((2, 2)), np.zeros(2), reg=0.0)
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "'measurements' must be 1-d, got shape (4, 2)")):
+        CSProblem(np.eye(8, 16), np.ones((4, 2)))
+    for x_true in (np.zeros(3), np.zeros((16, 1))):
+        with pytest.raises(ConfigurationError, match=re.escape(
+                f"'x_true' must hold one entry per column of 'sensing' (16), got shape "
+                f"{x_true.shape}")):
+            CSProblem(np.eye(8, 16), np.ones(8), x_true=x_true)
 
 
 def _with_nan(values, index):
@@ -290,16 +299,17 @@ def _with_nan(values, index):
     return values
 
 
-@pytest.mark.parametrize("sensing, measurements, reg", [
-    (_with_nan(np.eye(3), (1, 2)), np.ones(3), None),
-    (np.eye(3), _with_nan(np.ones(3), 0), None),  # would derive reg = nan
-    (np.eye(3), np.array([1.0, np.inf, 1.0]), 0.5),
-    (np.eye(3), np.ones(3), float("nan")),
-    (np.eye(3), np.ones(3), float("inf")),
-], ids=["nan-sensing", "nan-measurement", "inf-measurement", "nan-reg", "inf-reg"])
-def test_rejects_non_finite_problem_data(sensing, measurements, reg):
-    with pytest.raises(ConfigurationError, match="finite"):
-        CSProblem(sensing, measurements, reg=reg)
+@pytest.mark.parametrize("sensing, measurements, reg, x_true, argument", [
+    (_with_nan(np.eye(3), (1, 2)), np.ones(3), None, None, "sensing"),
+    (np.eye(3), _with_nan(np.ones(3), 0), None, None, "measurements"),  # would derive reg = nan
+    (np.eye(3), np.array([1.0, np.inf, 1.0]), 0.5, None, "measurements"),
+    (np.eye(3), np.ones(3), float("nan"), None, "reg"),
+    (np.eye(3), np.ones(3), float("inf"), None, "reg"),
+    (np.eye(3), np.ones(3), None, _with_nan(np.zeros(3), 1), "x_true"),
+], ids=["nan-sensing", "nan-measurement", "inf-measurement", "nan-reg", "inf-reg", "nan-x_true"])
+def test_rejects_non_finite_problem_data(sensing, measurements, reg, x_true, argument):
+    with pytest.raises(ConfigurationError, match=f"^'{argument}' .*finite"):
+        CSProblem(sensing, measurements, reg=reg, x_true=x_true)
 
 
 
@@ -333,8 +343,11 @@ def test_large_finite_snr_still_builds(snr_db):
 
 @pytest.mark.parametrize("reg", [-0.5, math.nan, math.inf, True, "0.1"])
 def test_reg_must_be_a_positive_real_number(reg):
-    with pytest.raises(ConfigurationError, match="reg"):
+    with pytest.raises(ConfigurationError, match="^'reg' ") as cs_error:
         CSProblem(np.ones((2, 2)), np.ones(2), reg=reg)
+    with pytest.raises(ConfigurationError) as logreg_error:
+        LogRegProblem(np.array([[2.0, 0.0]]), [1.0], reg=reg)
+    assert str(cs_error.value) == str(logreg_error.value)  # one rule for both problems
 
 
 @pytest.mark.parametrize("reg", [0.1, np.float64(0.1)])
@@ -358,7 +371,7 @@ def test_a_zero_reg_scale_is_named():
 
 def test_an_explicit_zero_reg_keeps_its_message():
     with pytest.raises(ConfigurationError, match=re.escape(
-            "reg must be a positive and finite real number, got 0.0")):
+            "'reg' must be a positive and finite real number, got 0.0")):
         CSProblem(np.ones((3, 4)), np.ones(3), reg=0.0)
 
 
@@ -409,9 +422,12 @@ def test_an_archive_may_hold_integers_for_its_reals(tmp_path):
 INVALID_VALUES = {
     "short-measurements": ({"measurements": np.zeros(5)},
                            "key 'measurements' holds 5 entries, but 'sensing' has 8 rows"),
-    "negative-reg": ({"reg": np.array(-1.0)}, "key 'reg' must hold a positive finite number"),
+    "negative-reg": ({"reg": np.array(-1.0)},
+                     "key 'reg' must be a positive and finite real number, got -1.0"),
     "nan-sensing": ({"sensing": np.full((8, 16), np.nan)}, "key 'sensing' holds a value that is not"),
     "no-columns": ({"sensing": np.zeros((8, 0)), "x_true": np.zeros(0)}, "key 'sensing' holds no"),
+    "long-x_true": ({"x_true": np.zeros(20)},
+                    "key 'x_true' must hold one entry per column of 'sensing' (16), got shape (20,)"),
 }
 
 

@@ -130,6 +130,8 @@ def test_validation_errors():
         LogRegProblem(np.ones(4), good)  # 1-d features
     with pytest.raises(ConfigurationError):
         LogRegProblem(X, good[:3])  # sample count mismatch
+    with pytest.raises(ConfigurationError, match=r"^'labels' must be 1-d, got shape \(2, 2\)"):
+        LogRegProblem(X, good.reshape(2, 2))
     for empty in (np.ones((0, 3)), np.ones((4, 0)), sp.csr_matrix((4, 0))):
         with pytest.raises(ConfigurationError, match="at least one feature and one sample"):
             LogRegProblem(empty, good[: empty.shape[0]])
