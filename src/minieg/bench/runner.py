@@ -35,8 +35,8 @@ from ..problems import (
     random_spd_affine,
     skew_rotation_problem,
 )
-from ..problems.lasso import _REG_SCALE
-from ..problems.logreg import LogRegProblem
+from ..problems.lasso import _REG_SCALE, _SNR_DB
+from ..problems.logreg import _REG, LogRegProblem
 from ..solvers import (
     METHOD_IDS,
     RunStatus,
@@ -97,7 +97,7 @@ class SyntheticCSSource(_FieldSource):
     n: int
     n_measurements: int
     sparsity: int
-    snr_db: float = 20.0
+    snr_db: float = _SNR_DB
     seed: int = 0
     reg_scale: float = _REG_SCALE
     fresh_per_trial: bool = field(default=True, init=False)
@@ -142,7 +142,7 @@ class LibsvmSource(_FieldSource):
 
     kind = "libsvm"
     path: str
-    reg: float = 0.1
+    reg: float = _REG
     fresh_per_trial: bool = field(default=False, init=False)
 
     def build(self, seed: int) -> MonotoneMapping:

@@ -73,7 +73,7 @@ def _parse_affine(text: str) -> tuple[int, str]:
         dim = int(parts[0])
     except ValueError:
         raise ConfigurationError(f"could not parse --affine dimension {parts[0]!r}") from None
-    flavor = parts[1] if len(parts) == 2 else "spd"
+    flavor = parts[1] if len(parts) == 2 else AffineSource.flavor
     return dim, flavor
 
 

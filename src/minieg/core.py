@@ -58,6 +58,17 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def _checked_seed(seed) -> int:
+    """A random seed as a plain int.
+
+    Raises :class:`ConfigurationError`, naming the seed, unless it is a
+    Python or numpy integer (not a bool) in ``[0, 2**64)``.
+    """
+    if not (_is_integer(seed) and 0 <= seed < 2**64):
+        raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return int(seed)
+
+
 def _checked_reg(reg) -> float:
     """An explicit regularization weight ``reg`` as a float.
 
@@ -86,11 +97,10 @@ def seeded_generator(seed: int, stream: int = 0) -> np.random.Generator:
 
     Philox is used so that the mapping from the pair to the random sequence is
     explicit and stable; two generators differing in either component produce
-    independent streams.
+    independent streams. A seed that is not an integer in ``[0, 2**64)``
+    raises :class:`ConfigurationError`.
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed!r}")
-    key = np.array([int(seed), int(stream)], dtype=np.uint64)
+    key = np.array([_checked_seed(seed), int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

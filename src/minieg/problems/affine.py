@@ -32,7 +32,8 @@ class AffineMonotoneProblem(MonotoneMapping):
     slope of ``F_i`` along ``e_i``); matrices with zeros on the diagonal
     require explicit constants, since the solvers divide by them. The global
     constant is the spectral norm of ``M``, computed exactly on demand. A
-    ``matrix`` or ``rhs`` with a value that is not finite raises
+    ``matrix``, ``rhs`` or planted ``root`` with a value that is not finite,
+    or a ``root`` without one entry per row of ``matrix``, raises
     :class:`ConfigurationError`; ``run_solver`` checks the constants.
     """
 
@@ -55,8 +56,13 @@ class AffineMonotoneProblem(MonotoneMapping):
         self._rhs = np.zeros(n) if rhs is None else np.array(rhs, dtype=float)
         if self._rhs.shape != (n,):
             raise ConfigurationError(f"rhs must have shape ({n},), got {self._rhs.shape}")
-        for name, value in (("matrix", M), ("rhs", self._rhs)):
-            if not np.all(np.isfinite(value)):
+        self.root = None if root is None else np.array(root, dtype=float)
+        if self.root is not None and self.root.shape != (n,):
+            raise ConfigurationError(
+                f"'root' must hold one entry per row of 'matrix' ({n}), got shape {self.root.shape}"
+            )
+        for name, value in (("matrix", M), ("rhs", self._rhs), ("root", self.root)):
+            if value is not None and not np.all(np.isfinite(value)):
                 raise ConfigurationError(f"{name!r} holds a value that is not finite")
 
         if validate:
@@ -90,7 +96,6 @@ class AffineMonotoneProblem(MonotoneMapping):
         self._global_lipschitz = (
             None if global_lipschitz is None else float(global_lipschitz)
         )
-        self.root = None if root is None else np.array(root, dtype=float)
         self._projection = projection or IdentityProjection()
 
     # -- contract ---------------------------------------------------------
@@ -144,10 +149,10 @@ class AffineSession(EvaluationSession):
         return float(self._f[i])
 
 
-def random_spd_affine(dim: int, seed: int, *, diagonal_shift: float = 0.1) -> AffineMonotoneProblem:
+def random_spd_affine(dim: int, seed: int) -> AffineMonotoneProblem:
     """A random symmetric positive-definite instance with a planted root.
 
-    ``M = G G^T / dim + shift * I`` for Gaussian ``G``, the right-hand side is
+    ``M = G G^T / dim + 0.1 * I`` for Gaussian ``G``, the right-hand side is
     chosen so that a known Gaussian point solves the system exactly, and the
     global Lipschitz constant is the exact largest eigenvalue.
     """
@@ -155,7 +160,7 @@ def random_spd_affine(dim: int, seed: int, *, diagonal_shift: float = 0.1) -> Af
         raise ConfigurationError("dim must be at least 1")
     gen = seeded_generator(seed, STREAM_INSTANCE)
     G = gen.standard_normal((dim, dim))
-    M = G @ G.T / dim + diagonal_shift * np.eye(dim)
+    M = G @ G.T / dim + 0.1 * np.eye(dim)
     x_star = gen.standard_normal(dim)
     rhs = M @ x_star
     lam_max = float(np.linalg.eigvalsh(M)[-1])

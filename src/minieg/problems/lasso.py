@@ -55,6 +55,8 @@ __all__ = [
 _FORMAT_TAG = "minieg-cs-v1"
 # The default reg is this multiple of ||A^T b||_inf (see _derived_reg).
 _REG_SCALE = 0.1
+# The default signal-to-noise ratio of a generated instance, in dB.
+_SNR_DB = 20.0
 # The dtype kinds a member of the format may hold, by what it holds.
 _DTYPE_KINDS = {"text": "U", "real": "iuf", "integer": "iu"}
 
@@ -213,10 +215,10 @@ class CSProblem(MonotoneMapping):
         n = self._n_signal
         return z[:n] - z[n:]
 
-    def kkt_residual(self, z: np.ndarray, *, support_threshold: float = 1e-8) -> float:
+    def kkt_residual(self, z: np.ndarray) -> float:
         """Max violation of the LASSO optimality conditions at ``x = u - v``.
 
-        Coordinates with ``|x_i| <= support_threshold`` are treated as zeros
+        Coordinates with ``|x_i| <= 1e-8`` are treated as zeros
         (requiring ``|grad_i| <= reg``), the others as active (requiring
         ``grad_i = -reg * sign(x_i)``).
         """
@@ -224,7 +226,7 @@ class CSProblem(MonotoneMapping):
         grad = self._A.T @ (self._A @ x - self._b)
         off = np.maximum(np.abs(grad) - self._reg, 0.0)
         on = np.abs(grad + self._reg * np.sign(x))
-        return float(np.max(np.where(np.abs(x) <= support_threshold, off, on)))
+        return float(np.max(np.where(np.abs(x) <= 1e-8, off, on)))
 
     def recovery_error(self, z: np.ndarray) -> float:
         """Relative l2 error of the recovered signal against the planted one."""
@@ -319,7 +321,7 @@ def build_cs_instance(
     n_measurements: int,
     sparsity: int,
     *,
-    snr_db: float = 20.0,
+    snr_db: float = _SNR_DB,
     seed: int = 0,
     reg_scale: float = _REG_SCALE,
 ) -> CSProblem:
@@ -328,12 +330,15 @@ def build_cs_instance(
     The sensing matrix has i.i.d. Gaussian entries with variance ``1/N``
     (unit expected column norms), the planted signal has ``sparsity``
     Gaussian spikes on a random support, and Gaussian measurement noise is
-    scaled to the requested SNR. The regularization weight follows the usual
-    ``reg_scale * ||A^T b||_inf`` rule. An ``snr_db`` of +inf builds a
-    noiseless instance; one whose noise scale ``10 ** (snr_db / 20)`` is not a
-    positive finite float (NaN, -inf, below about -6472 dB or above about
-    6165 dB) is rejected, and so is one so low that the scaled noise or its
-    norm would overflow (below about -3080 dB for a signal of unit norm).
+    scaled to the requested SNR (20 dB by default). The regularization weight
+    follows the usual ``reg_scale * ||A^T b||_inf`` rule, and the power
+    iteration behind the global bound is seeded with ``seed``; a ``seed`` that
+    is not an integer in ``[0, 2**64)`` raises :class:`ConfigurationError`.
+    An ``snr_db`` of +inf builds a noiseless instance; one whose noise scale
+    ``10 ** (snr_db / 20)`` is not a positive finite float (NaN, -inf, below
+    about -6472 dB or above about 6165 dB) is rejected, and so is one so low
+    that the scaled noise or its norm would overflow (below about -3080 dB
+    for a signal of unit norm).
     """
     try:
         noise_scale_ok = _is_real(snr_db) and (
@@ -408,7 +413,7 @@ def save_instance(path, problem: CSProblem) -> None:
     )
 
 
-def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
+def load_instance(path) -> CSProblem:
     """Read an instance written by :func:`save_instance`.
 
     Raises :class:`ConfigurationError` naming the path for a file that
@@ -422,6 +427,11 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
     the argument at fault, which is also its key; they are raised again as
     ``"{path}: key {error}"``. An empty ``x_true`` stands for none. A
     missing or unreadable file raises :class:`OSError`.
+
+    The power iteration behind the global bound is seeded with the archive's
+    ``seed`` as :func:`build_cs_instance` seeds it, or with 0 when ``seed``
+    is negative (no generator), so a generated instance loads with the same
+    global bound, bit for bit, and solves alike.
     """
     # An open file: numpy.load leaves its own file open when a zip header is bad.
     with open(path, "rb") as file:
@@ -452,7 +462,7 @@ def load_instance(path, *, spectral_seed: int = 0) -> CSProblem:
     )
     x_true = None if x_true.size == 0 else x_true
     try:  # CSProblem names the argument at fault first, and each argument is its key
-        return CSProblem(A, b, reg=reg, x_true=x_true, meta=meta, spectral_seed=spectral_seed)
+        return CSProblem(A, b, reg=reg, x_true=x_true, meta=meta, spectral_seed=max(seed, 0))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: key {exc}") from None
 

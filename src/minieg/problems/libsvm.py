@@ -25,13 +25,12 @@ class LibsvmParseError(ValueError):
         self.line_number = line_number
 
 
-def load_libsvm(path, *, n_features: int | None = None):
+def load_libsvm(path):
     """Parse a LIBSVM file into ``(features, labels)``.
 
-    Returns a ``(N, n)`` CSR matrix and a ``(N,)`` array of +-1 labels.
-    ``n_features`` can force a wider matrix than the largest index seen
-    (useful to align a test split with its training split). Labels in
-    ``{0, 1}`` are mapped to ``{-1, +1}``; anything non-binary is an error.
+    Returns a ``(N, n)`` CSR matrix, ``n`` the largest feature index seen,
+    and a ``(N,)`` array of +-1 labels. Labels in ``{0, 1}`` are mapped to
+    ``{-1, +1}``; anything non-binary is an error.
     """
     rows: list[int] = []
     cols: list[int] = []
@@ -72,10 +71,6 @@ def load_libsvm(path, *, n_features: int | None = None):
     if not labels:
         raise LibsvmParseError(0, "file contains no samples")
 
-    n = max_index if n_features is None else int(n_features)
-    if n < max_index:
-        raise LibsvmParseError(0, f"n_features={n} smaller than largest index {max_index}")
-
     y = np.asarray(labels, dtype=float)
     present = set(np.unique(y).tolist())
     if present <= {-1.0, 1.0}:
@@ -87,6 +82,6 @@ def load_libsvm(path, *, n_features: int | None = None):
 
     X = sp.csr_matrix(
         (np.asarray(vals), (np.asarray(rows), np.asarray(cols))),
-        shape=(len(y), n),
+        shape=(len(y), max_index),
     )
     return X, y

@@ -46,6 +46,9 @@ from .spectral import estimate_lambda_max, require_converged
 
 __all__ = ["LogRegProblem", "synthetic_logreg"]
 
+# The default ridge weight reg.
+_REG = 0.1
+
 
 class LogRegProblem(MonotoneMapping):
     """Gradient map of L2-regularized logistic regression.
@@ -59,9 +62,9 @@ class LogRegProblem(MonotoneMapping):
     labels:
         ``(N,)`` vector of +-1 labels.
     reg:
-        Ridge coefficient (must be positive and finite: it is what makes the
-        map strongly monotone and the componentwise constants nonzero for
-        features that never occur).
+        Ridge coefficient, 0.1 by default (must be positive and finite: it
+        is what makes the map strongly monotone and the componentwise
+        constants nonzero for features that never occur).
 
     The componentwise Lipschitz constants are ``h_ii / (4N) + reg`` with
     ``h_ii`` the squared Euclidean norm of feature ``i`` across samples; the
@@ -78,7 +81,7 @@ class LogRegProblem(MonotoneMapping):
     updates. Otherwise ``K`` is None and nothing changes.
     """
 
-    def __init__(self, features, labels, *, reg: float = 0.1, spectral_seed: int = 0) -> None:
+    def __init__(self, features, labels, *, reg: float = _REG, spectral_seed: int = 0) -> None:
         reg = _checked_reg(reg)
         labels = np.asarray(labels, dtype=float)
         if labels.ndim != 1:
@@ -294,27 +297,28 @@ def synthetic_logreg(
     *,
     seed: int = 0,
     scale_spread: float = 0.0,
-    normalize: bool = True,
-    reg: float = 0.1,
+    reg: float = _REG,
 ) -> LogRegProblem:
     """Generate a dense synthetic classification problem.
 
-    Features are Gaussian with per-feature scales ``exp(scale_spread * g)``
-    (``scale_spread = 0`` gives homogeneous columns); with ``normalize`` every
-    feature is rescaled into ``[-1, 1]``, the common preprocessing for the
-    microarray-style datasets this mimics. Labels are sampled from the
-    logistic model of a random dense weight vector.
+    Features are Gaussian, each rescaled into ``[-1, 1]`` (the common
+    preprocessing for the microarray-style datasets this mimics) and
+    multiplied by its scale ``exp(scale_spread * g)``, ``g`` a standard
+    normal draw: one division by ``peak / scale``. So ``scale_spread = 0``
+    gives homogeneous features, and a positive one spreads the componentwise
+    constants. Labels are sampled from the logistic model of a random dense
+    weight vector. A ``seed`` that is not an integer in ``[0, 2**64)``
+    raises :class:`ConfigurationError`.
     """
     if n_features < 1 or n_samples < 1:
         raise ConfigurationError("need at least one feature and one sample")
     gen = seeded_generator(seed, STREAM_INSTANCE)
     X = gen.standard_normal((n_samples, n_features))
+    peaks = np.abs(X).max(axis=0)
+    peaks[peaks == 0] = 1.0
     if scale_spread:
-        X *= np.exp(scale_spread * gen.standard_normal(n_features))
-    if normalize:
-        peaks = np.abs(X).max(axis=0)
-        peaks[peaks == 0] = 1.0
-        X /= peaks
+        peaks /= np.exp(scale_spread * gen.standard_normal(n_features))
+    X /= peaks
     truth = gen.standard_normal(n_features) / np.sqrt(n_features)
     margins = X @ truth
     labels = np.where(gen.random(n_samples) < expit(margins), 1.0, -1.0)

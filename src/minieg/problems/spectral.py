@@ -21,6 +21,9 @@ __all__ = ["SpectralEstimate", "estimate_lambda_max", "require_converged"]
 # Estimated spectral bounds get a 1% safety margin so that the componentwise
 # constants (which are exact) can never exceed the global one numerically.
 _SPECTRAL_SAFETY = 1.01
+# The power iteration stops once the Rayleigh quotient changes by at most
+# this fraction of itself.
+_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -42,7 +45,6 @@ def estimate_lambda_max(
     dim: int,
     *,
     seed: int = 0,
-    tol: float = 1e-6,
     max_iterations: int = 10_000,
 ) -> SpectralEstimate:
     """Estimate the largest eigenvalue of a symmetric PSD operator.
@@ -56,17 +58,15 @@ def estimate_lambda_max(
     seed:
         Seeds the random start vector (its own stream, so reusing a solver
         seed here cannot correlate the draws).
-    tol:
-        Relative change in the Rayleigh quotient below which the iteration
-        stops.
+    max_iterations:
+        The cap on matrix-vector products.
 
-    Stops early with an exact answer when the operator annihilates the
-    current vector (e.g. the zero matrix).
+    The iteration stops once the Rayleigh quotient changes by at most a
+    relative 1e-6, and early with an exact answer when the operator
+    annihilates the current vector (e.g. the zero matrix).
     """
     if dim <= 0:
         raise ConfigurationError(f"operator dimension must be positive, got {dim}")
-    if tol <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tol}")
     if max_iterations < 1:
         raise ConfigurationError("max_iterations must be at least 1")
 
@@ -84,7 +84,7 @@ def estimate_lambda_max(
             # The operator maps v to zero; for a PSD matrix reached from a
             # generic start this means the estimate is exact.
             return SpectralEstimate(value=rayleigh, iterations=k, converged=True)
-        if previous is not None and abs(rayleigh - previous) <= tol * max(abs(rayleigh), 1e-30):
+        if previous is not None and abs(rayleigh - previous) <= _TOLERANCE * max(abs(rayleigh), 1e-30):
             return SpectralEstimate(value=rayleigh, iterations=k, converged=True)
         previous = rayleigh
         v = w / norm_w

@@ -82,6 +82,7 @@ from .core import (
     MonotoneMapping,
     Projection,
     STREAM_SOLVER,
+    _checked_seed,
     _is_integer,
     _is_real,
     _same_bytes,
@@ -171,10 +172,9 @@ class SolverConfig:
             raise ConfigurationError(
                 f"max_iterations must be an integer of at least 1, got {self.max_iterations!r}"
             )
-        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
-            raise ConfigurationError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        for name in ("max_iterations", "seed"):  # plain ints, so results export as JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
+        # Plain ints, so results export as JSON.
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        object.__setattr__(self, "seed", _checked_seed(self.seed))
 
 
 @dataclass

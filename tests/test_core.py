@@ -171,6 +171,23 @@ def test_seeded_generator_validates_seed_range():
     # Boundary values are fine.
     seeded_generator(0)
     seeded_generator(2**64 - 1)
+    # So are numpy integers, which draw as the same Python int does.
+    for seed in (np.int64(3), np.uint64(3)):
+        assert seeded_generator(seed).random() == seeded_generator(3).random()
+
+
+# A seed that is not an integer used to be truncated by int(seed).
+NON_INTEGER_SEEDS = {
+    "cs-float": lambda: build_cs_instance(16, 8, 2, seed=1.5),
+    "cs-bool": lambda: build_cs_instance(16, 8, 2, seed=True),
+    "logreg-float": lambda: synthetic_logreg(10, 5, seed=0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_SEEDS))
+def test_a_seed_that_is_not_an_integer_is_named(case):
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        NON_INTEGER_SEEDS[case]()
 
 
 # ---------------------------------------------------------------------------

@@ -37,19 +37,6 @@ def test_zero_one_labels_are_mapped_to_signs(tmp_path):
     np.testing.assert_array_equal(y, [-1.0, 1.0, -1.0])
 
 
-def test_n_features_pads_the_matrix(tmp_path):
-    path = _write(tmp_path, "1 1:1.0\n-1 2:2.0\n")
-    X, _ = load_libsvm(path, n_features=5)
-    assert X.shape == (2, 5)
-    assert X[1, 1] == 2.0
-
-
-def test_n_features_smaller_than_data_is_an_error(tmp_path):
-    path = _write(tmp_path, "1 1:1.0 4:2.0\n")
-    with pytest.raises(LibsvmParseError):
-        load_libsvm(path, n_features=3)
-
-
 def test_feature_without_separator_is_an_error(tmp_path):
     path = _write(tmp_path, "1 1:1.0\n-1 7\n")
     with pytest.raises(LibsvmParseError) as info:

@@ -36,6 +36,14 @@ REJECTED = {
         lambda: AffineMonotoneProblem(np.diag([2.0, 1.0]), componentwise_lipschitz=[1.0, 1.0]),
         "must dominate",
     ),
+    "root-shape": (
+        lambda: AffineMonotoneProblem(np.eye(2), root=[1.0, 2.0, 3.0]),
+        r"'root' must hold one entry per row of 'matrix' \(2\)",
+    ),
+    "nan-root": (
+        lambda: AffineMonotoneProblem(np.eye(2), root=[np.nan, 0.0]),
+        "'root' holds a value that is not finite",
+    ),
     "spd-dim": (lambda: random_spd_affine(0, seed=0), "dim must be at least 1"),
     "skew-odd-dim": (lambda: skew_rotation_problem(3), "even dim"),
 }

@@ -165,6 +165,11 @@ def test_instance_round_trip_is_bit_exact(tmp_path):
 
     z = np.abs(np.sin(np.arange(problem.dim)))
     np.testing.assert_array_equal(loaded.eval_full(z), problem.eval_full(z))
+    # The power iteration is seeded from the archive's seed, as it was built.
+    assert loaded.ensure_global_lipschitz().hex() == problem.ensure_global_lipschitz().hex()
+    built, reloaded = (run_solver(p, "eg", SolverConfig()) for p in (problem, loaded))
+    assert reloaded.final_point.tobytes() == built.final_point.tobytes()
+    assert reloaded.ledger == built.ledger
 
 
 def test_bare_instance_round_trip_keeps_optional_fields_empty(tmp_path):
@@ -178,6 +183,8 @@ def test_bare_instance_round_trip_keeps_optional_fields_empty(tmp_path):
     assert loaded.meta.snr_db is None
     assert loaded.meta.seed is None
     assert loaded.reg == problem.reg
+    # Without a generator seed the power iteration keeps CSProblem's seed 0.
+    assert loaded.ensure_global_lipschitz().hex() == problem.ensure_global_lipschitz().hex()
 
 
 def test_loading_a_foreign_container_fails_cleanly(tmp_path):

@@ -86,17 +86,19 @@ def test_synthetic_generator_is_deterministic():
 def test_synthetic_normalization_bounds_the_constants():
     n_samples = 50
     problem = synthetic_logreg(30, n_samples, seed=3, scale_spread=2.0)
-    # Every feature is rescaled into [-1, 1], so its squared norm across
-    # samples lies in [1, N] and the constants inherit tight bounds.
-    h = (problem.componentwise_lipschitz - problem.reg) * 4.0 * n_samples
+    # Every feature is rescaled into [-1, 1] and then multiplied by its
+    # scale, drawn right after the features, so its squared norm across
+    # samples lies in [1, N] times the squared scale.
+    gen = seeded_generator(3, STREAM_INSTANCE)
+    gen.standard_normal((n_samples, 30))
+    scales = np.exp(2.0 * gen.standard_normal(30))
+    h = (problem.componentwise_lipschitz - problem.reg) * 4.0 * n_samples / scales**2
     assert np.all(h >= 1.0 - 1e-12)
     assert np.all(h <= n_samples + 1e-12)
 
 
-def test_scale_spread_without_normalization_spreads_the_constants():
-    problem = synthetic_logreg(
-        30, 50, seed=3, scale_spread=1.5, normalize=False
-    )
+def test_scale_spread_spreads_the_normalized_constants():
+    problem = synthetic_logreg(30, 50, seed=3, scale_spread=1.5)
     h = problem.componentwise_lipschitz - problem.reg
     assert h.max() / h.min() > 10.0
 

@@ -58,8 +58,6 @@ def test_estimator_validates_arguments():
     with pytest.raises(ConfigurationError):
         estimate_lambda_max(lambda v: v, 0)
     with pytest.raises(ConfigurationError):
-        estimate_lambda_max(lambda v: v, 3, tol=0.0)
-    with pytest.raises(ConfigurationError):
         estimate_lambda_max(lambda v: v, 3, max_iterations=0)
 
 
