@@ -23,6 +23,7 @@ from ..core import (
     ConfigurationError,
     MonotoneMapping,
     STREAM_X0,
+    _checked_seed,
     _is_integer,
     _is_real,
     seeded_generator,
@@ -102,6 +103,9 @@ class SyntheticCSSource(_FieldSource):
     reg_scale: float = _REG_SCALE
     fresh_per_trial: bool = field(default=True, init=False)
 
+    def __post_init__(self) -> None:
+        _checked_seed(self.seed)
+
     def build(self, seed: int) -> MonotoneMapping:
         return build_cs_instance(
             self.n,
@@ -125,6 +129,7 @@ class AffineSource(_FieldSource):
     def __post_init__(self) -> None:
         if self.flavor not in ("spd", "skew"):
             raise ConfigurationError(f"unknown affine flavor {self.flavor!r}")
+        _checked_seed(self.seed)
 
     @property
     def fresh_per_trial(self) -> bool:

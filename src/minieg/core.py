@@ -200,6 +200,9 @@ def weighted_norm(x: np.ndarray, weights: np.ndarray) -> float:
     return float(np.sqrt(np.dot(w, x * x)))
 
 
+_FLOAT = np.dtype(float)  # the native float64 dtype, which numpy hands out as one object
+
+
 def _same_bytes(a, b: np.ndarray) -> bool:
     """Whether ``a`` holds exactly the float64 bytes of ``b``.
 
@@ -279,7 +282,12 @@ class MonotoneMapping(ABC):
     def open_session(self, x0: np.ndarray, ledger: CostLedger) -> "EvaluationSession": ...
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        """``x`` as ``np.asarray(x, dtype=float)`` gives it, of shape ``(dim,)``.
+
+        A float64 ndarray is that array itself, so it skips the conversion call.
+        """
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT:
+            x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise ConfigurationError(
                 f"expected a point of shape ({self.dim},), got {x.shape}"
@@ -316,7 +324,8 @@ class EvaluationSession(ABC):
     operation for operation, and then moves through ``set_point``; a backend
     may override ``probe`` and ``_commit`` to update its cache along the move
     instead. Subclasses implement the four backend hooks (``_rebuild``,
-    ``_shift``, ``_compute_full`` and ``_compute_component``).
+    ``_shift``, ``_compute_full`` and ``_compute_component``); one that keeps
+    views of the point makes them once, in ``_open``.
 
     ``eval_full`` keeps the last ``F`` it computed until the next shift or
     rebuild, so a repeated read at a point that has not moved costs a copy;
@@ -338,7 +347,7 @@ class EvaluationSession(ABC):
         self._move = np.empty_like(self._x)  # the candidate of a probe or a step
         self._candidate = self._move.view()  # the step's candidate, as projections see it
         self._candidate.flags.writeable = False
-        self._rebuild()
+        self._open()
         self._full: np.ndarray | None = None  # F at _x once computed, until the next move
 
     # -- state ---------------------------------------------------------------
@@ -367,7 +376,8 @@ class EvaluationSession(ABC):
         x = self._problem._check_point(x)
         self._full = None
         self._x[:] = x
-        np.copyto(self._anchor, self._x)
+        if x is not self._anchor:  # probe hands over the anchor's own buffer
+            self._anchor[:] = self._x
         self._at_anchor = True
         self._rebuild()
 
@@ -381,7 +391,7 @@ class EvaluationSession(ABC):
     def probe(self, scale: float) -> None:
         """Move to ``anchor - scale * F`` and keep the anchor. Not charged."""
         y = self._stepped(scale)
-        # set_point makes its point the anchor: let it copy y onto y's own buffer.
+        # set_point makes its point the anchor: with y's buffer as the anchor it copies nothing.
         anchor, self._anchor = self._anchor, y
         self.set_point(y)
         self._anchor, self._at_anchor = anchor, False
@@ -456,6 +466,11 @@ class EvaluationSession(ABC):
         return zeros, None
 
     # -- backend hooks ---------------------------------------------------------
+
+    def _open(self) -> None:
+        """Build the cache at the opening point: ``_x`` exists from here on, so a
+        backend that keeps views of it makes them here, then rebuilds."""
+        self._rebuild()
 
     @abstractmethod
     def _rebuild(self) -> None:

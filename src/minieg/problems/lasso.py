@@ -59,6 +59,20 @@ _REG_SCALE = 0.1
 _SNR_DB = 20.0
 # The dtype kinds a member of the format may hold, by what it holds.
 _DTYPE_KINDS = {"text": "U", "real": "iuf", "integer": "iu"}
+# numpy aligns an array's data to 16 bytes only, so a matrix often starts 16,
+# 32 or 48 bytes past a 64-byte cache line. OpenBLAS's matrix-vector kernels
+# then take up to a third longer, with the same bits: on a 2-core Xeon VM,
+# 2.7 µs against 2.0 µs for ``A @ d`` with the desk's 64x256 ``A``, and 2.8
+# against 1.8 µs for ``A.T @ (A d)``. So ``A`` and ``G`` start on a line.
+_CACHE_LINE = 64
+
+
+def _aligned(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized C-contiguous float64 array whose data start on a cache line."""
+    size = math.prod(shape) * 8
+    buffer = np.empty(size + _CACHE_LINE, dtype=np.uint8)
+    start = -buffer.ctypes.data % _CACHE_LINE
+    return buffer[start:start + size].view(float).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -144,10 +158,11 @@ class CSProblem(MonotoneMapping):
         if reg is not None:
             reg = _checked_reg(reg)
 
-        self._A = A
+        self._A = _aligned(A.shape)
+        self._A[...] = A
         self._b = b
         self._n_signal = n
-        self._G = A.T @ A                      # Gram matrix, cached for row shifts
+        self._G = np.matmul(A.T, A, out=_aligned((n, n)))  # Gram matrix, cached for row shifts
         atb = A.T @ b
         self._reg = _derived_reg(atb, _REG_SCALE) if reg is None else reg
         self._c_top = self._reg - atb          # (Hz+c) upper half offset
@@ -247,25 +262,27 @@ class CSSession(EvaluationSession):
 
     _problem: CSProblem
 
-    def __init__(self, problem: CSProblem, x0: np.ndarray, ledger: CostLedger) -> None:
-        n = problem._n_signal
+    def _open(self) -> None:
+        p = self._problem
+        n = p._n_signal
+        # Views made once: the point keeps its buffer for the session's life.
+        self._u, self._v = self._x[:n], self._x[n:]
+        self._A, self._At = p._A, p._A.T
         self._d = np.empty(n)  # u - v
-        self._ad = np.empty(problem._A.shape[0])  # A (u - v)
+        self._ad = np.empty(p._A.shape[0])  # A (u - v)
         self._g = np.empty(n)
         self._step = np.empty(n)  # delta times one Gram row
         self._f = np.empty(2 * n)  # H z + c, then F(z)
         self._f_top, self._f_bot = self._f[:n], self._f[n:]
-        super().__init__(problem, x0, ledger)
+        self._rebuild()
 
     def _rebuild(self) -> None:
-        p = self._problem
-        n = p._n_signal
-        np.subtract(self._x[:n], self._x[n:], out=self._d)
+        np.subtract(self._u, self._v, out=self._d)
         # Two sensing products rather than one Gram product: cheaper when
         # measurements are few, and identical in structure to eval_full.
         # np.dot calls the same BLAS product as matmul, with less overhead.
-        np.dot(p._A, self._d, out=self._ad)
-        np.dot(p._A.T, self._ad, out=self._g)
+        np.dot(self._A, self._d, out=self._ad)
+        np.dot(self._At, self._ad, out=self._g)
 
     def _shift(self, i: int, delta: float) -> None:
         p = self._problem

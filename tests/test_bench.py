@@ -331,6 +331,16 @@ def test_source_descriptions_carry_their_kind(tmp_path):
         AffineSource(dim=4, flavor="hankel")
 
 
+@pytest.mark.parametrize("make, seed", [
+    (lambda seed: SyntheticCSSource(16, 8, 2, seed=seed), 1.5),
+    (lambda seed: AffineSource(4, seed=seed), -1),
+], ids=["synthetic-cs", "affine"])
+def test_sources_reject_a_seed_they_could_not_build_with(make, seed):
+    # The source names the seed it was given, not the seed + trial a build would use.
+    with pytest.raises(ConfigurationError, match=rf"seed must be .*, got {seed!r}$"):
+        make(seed)
+
+
 def test_skew_affine_source_builds_one_shared_rotation():
     source = AffineSource(dim=4, flavor="skew", seed=5)
     assert not source.fresh_per_trial

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minieg import ConfigurationError, CostLedger, run_solver, SolverConfig, seeded_generator
-from minieg.core import STREAM_SOLVER
+from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
 from minieg.problems import (
     CSProblem,
     LogRegProblem,
@@ -170,6 +170,33 @@ def test_instance_round_trip_is_bit_exact(tmp_path):
     built, reloaded = (run_solver(p, "eg", SolverConfig()) for p in (problem, loaded))
     assert reloaded.final_point.tobytes() == built.final_point.tobytes()
     assert reloaded.ledger == built.ledger
+
+
+def _off_line(a):
+    """A copy of ``a`` whose data start 16 bytes past a 64-byte cache line."""
+    buffer = np.empty(a.nbytes + 80, dtype=np.uint8)
+    start = -buffer.ctypes.data % 64 + 16
+    copy = buffer[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    copy[...] = a
+    return copy
+
+
+@pytest.mark.parametrize("how", ["built", "loaded"])
+def test_sensing_and_gram_matrices_start_on_a_cache_line(how, tmp_path):
+    problem = build_cs_instance(40, 10, 3, seed=6)
+    # The sensing matrix is the generator's first draw.
+    given = seeded_generator(6, STREAM_INSTANCE).standard_normal((10, 40)) / np.sqrt(10)
+    if how == "loaded":
+        path = tmp_path / "instance.npz"
+        save_instance(path, problem)
+        problem = load_instance(path)
+        with np.load(path) as archive:
+            given = archive["sensing"]
+    assert problem._A.ctypes.data % 64 == 0 and problem._G.ctypes.data % 64 == 0
+    assert problem.sensing.tobytes() == given.tobytes()
+    given = _off_line(given)
+    assert given.ctypes.data % 64 == 16
+    assert problem._G.tobytes() == (given.T @ given).tobytes()
 
 
 def test_bare_instance_round_trip_keeps_optional_fields_empty(tmp_path):

@@ -13,6 +13,7 @@ from property_checks import sparse_twin
 
 from minieg import (
     BoxProjection,
+    ConfigurationError,
     CostLedger,
     IdentityProjection,
     Projection,
@@ -368,6 +369,27 @@ def test_probe_and_step_equal_set_point_of_the_loop_point(name):
     _assert_same_cache(moved, plain, gram)
     # The base session moves through set_point, so each move rebuilds once.
     assert len(rebuilds) == (0 if gram else 2)
+
+
+@pytest.mark.parametrize("name", sorted(MOVERS))
+def test_set_point_takes_a_point_as_asarray_gives_it(name):
+    problem = MOVERS[name]()
+    n = problem.dim
+    session = problem.open_session(np.zeros(n), CostLedger(n))
+    with pytest.raises(ConfigurationError, match="expected a point of shape"):
+        session.set_point(np.zeros(n + 1))
+    wide = seeded_generator(29, STREAM_SOLVER).standard_normal(2 * n)
+    for x in (list(wide[:n]), np.arange(n), wide[:n].astype(np.float32), wide[::2]):
+        session.set_point(x)
+        expected = np.asarray(x, dtype=float).tobytes()
+        assert session.point.tobytes() == session.anchor.tobytes() == expected
+    # The session's own buffers, after a shift has moved the point off the anchor.
+    for own in ("point", "anchor"):
+        session.shift_coordinate(0, 0.5)
+        target = getattr(session, own).copy()
+        session.set_point(getattr(session, own))
+        assert session.point.tobytes() == session.anchor.tobytes() == target.tobytes()
+        np.testing.assert_array_equal(session.eval_full(), problem.eval_full(target))
 
 
 def _coordinate_step(session, gen, shift):
