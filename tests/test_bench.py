@@ -101,6 +101,34 @@ def test_gaussian_starts_are_feasible_and_seeded():
     assert np.any(a > 0.0)
 
 
+# The trial CSV of a gaussian-start sparse-recovery run, wall time dropped:
+# every bit of each start reaches the iteration counts and final residuals.
+GAUSSIAN_START_CSV = """\
+method,trial,itr,nf,final_residual,status,seed
+eg,0,2196,4392,9.9566739951207298e-07,converged,3
+gmini,0,2567,5134,5.1381352536653688e-07,converged,3
+rmini,0,8498,8763.5625,8.1474568148420333e-07,converged,3
+wmax,0,1073,1141.0625,8.8898269205495273e-07,converged,3
+eg,1,1943,3886,9.9121385630800744e-07,converged,4
+gmini,1,569,1138,6.8351363667431045e-07,converged,4
+rmini,1,20000,20625,0.15451997077302382,iteration_cap_reached,4
+wmax,1,454,483.375,9.2985111103512686e-07,converged,4
+"""
+
+
+def test_gaussian_start_trials_write_the_pinned_csv():
+    spec = ExperimentSpec(
+        source=SyntheticCSSource(n=16, n_measurements=12, sparsity=2, seed=1),
+        x0_policy="gaussian",
+        x0_scale=2.0,
+        trials=2,
+        config=SolverConfig(tolerance=1e-6, max_iterations=20_000, seed=3),
+    )
+    lines = [line.split(",") for line in trial_csv_lines(run_experiment(spec))]
+    assert lines[0][4] == "tcpu_s"
+    assert "".join(",".join(f[:4] + f[5:]) + "\n" for f in lines) == GAUSSIAN_START_CSV
+
+
 def test_spec_validation():
     source = SyntheticCSSource(n=8, n_measurements=4, sparsity=1)
     with pytest.raises(ConfigurationError):

@@ -128,6 +128,18 @@ def test_bench_verbose_ticker_lands_on_stderr(capsys):
     assert "trial 0 / gmini" in captured.err
 
 
+def test_gen_cs_prints_the_pinned_summary_line(tmp_path, capsys):
+    instance = tmp_path / "instance.npz"
+    assert main([
+        "gen-cs", "--n", "40", "--measurements", "10", "--sparsity", "3",
+        "--seed", "6", "--snr-db", "30", "--out", str(instance),
+    ]) == 0
+    assert capsys.readouterr().out == (
+        f"wrote instance to {instance}: n=40 measurements=10 sparsity=3 snr_db=30 "
+        "(realized 30.00) reg=0.188623 seed=6\n"
+    )
+
+
 def test_generated_instance_feeds_the_bench_subcommand(tmp_path, capsys):
     instance = tmp_path / "instance.npz"
     code = main([
