@@ -259,13 +259,12 @@ class ExperimentResult:
     metadata: dict
 
 
-def _make_x0(spec: ExperimentSpec, problem: MonotoneMapping, trial: int) -> np.ndarray:
+def _make_x0(spec: ExperimentSpec, problem: MonotoneMapping, trial: int) -> np.ndarray | None:
+    """The trial's start as drawn, or None for the origin; ``run_solver`` projects it."""
     if spec.x0_policy == "zeros":
-        return np.zeros(problem.dim)
+        return None
     gen = seeded_generator(spec.config.seed + trial, STREAM_X0)
-    raw = spec.x0_scale * gen.standard_normal(problem.dim)
-    # Keep the start inside the feasible region.
-    return np.asarray(problem.projection(raw), dtype=float)
+    return spec.x0_scale * gen.standard_normal(problem.dim)
 
 
 def run_experiment(spec: ExperimentSpec, *, progress=None) -> ExperimentResult:
@@ -374,7 +373,6 @@ def _aggregate(
 class SweepResult:
     """Long-format sweep table: one row per (method, rho, metric)."""
 
-    spec: ExperimentSpec
     grid: tuple[float, ...]
     rows: list[tuple[str, float, str, float, float]]  # method, rho, metric, mean, std
     metadata: dict
@@ -395,7 +393,7 @@ def sweep_rho(spec: ExperimentSpec, grid) -> SweepResult:
                 rows.append((method, rho, metric, getattr(agg, f"mean_{metric}"),
                              getattr(agg, f"std_{metric}", math.nan)))
     metadata = {"source": spec.source.describe(), "grid": list(grid)}
-    return SweepResult(spec=spec, grid=grid, rows=rows, metadata=metadata)
+    return SweepResult(grid=grid, rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +414,6 @@ def rank_trace(
     problem: MonotoneMapping,
     method: str = "wmax",
     config: SolverConfig | None = None,
-    *,
-    x0: np.ndarray | None = None,
 ):
     """Instrumented run recording where each selected coordinate ranks.
 
@@ -439,5 +435,5 @@ def rank_trace(
         rank = 1 + int(np.count_nonzero(magnitudes > magnitudes[obs.selected_index]))
         points.append(RankPoint(k=obs.k, normalized_rank=rank / problem.dim, reset=obs.reset))
 
-    result = run_solver(problem, method, config, x0=x0, callback=record_rank)
+    result = run_solver(problem, method, config, callback=record_rank)
     return result, points

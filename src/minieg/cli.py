@@ -273,9 +273,9 @@ def _cmd_gen_cs(args: argparse.Namespace) -> int:
         reg_scale=args.reg_scale,
     )
     save_instance(args.out, problem)
-    meta = problem.meta
+    meta, (measurements, n) = problem.meta, problem.sensing.shape
     print(
-        f"wrote instance to {args.out}: n={meta.n} measurements={meta.n_measurements} "
+        f"wrote instance to {args.out}: n={n} measurements={measurements} "
         f"sparsity={meta.sparsity} snr_db={meta.snr_db:g} "
         f"(realized {meta.realized_snr_db:.2f}) reg={problem.reg:.6g} seed={meta.seed}"
     )

@@ -69,6 +69,15 @@ def _checked_seed(seed) -> int:
     return int(seed)
 
 
+def _check_sizes(**sizes) -> None:
+    """Raise :class:`ConfigurationError`, naming the argument first, for the
+    first size in ``sizes`` (argument name to value) that is not a Python or
+    numpy integer, or is a bool. Each caller checks the range itself."""
+    for name, value in sizes.items():
+        if not _is_integer(value):
+            raise ConfigurationError(f"{name!r} must be an integer, got {value!r}")
+
+
 def _checked_reg(reg) -> float:
     """An explicit regularization weight ``reg`` as a float.
 

@@ -15,10 +15,9 @@ from ..core import (
     ConfigurationError,
     CostLedger,
     EvaluationSession,
-    IdentityProjection,
     MonotoneMapping,
-    Projection,
     STREAM_INSTANCE,
+    _check_sizes,
     seeded_generator,
 )
 
@@ -45,7 +44,6 @@ class AffineMonotoneProblem(MonotoneMapping):
         componentwise_lipschitz=None,
         global_lipschitz: float | None = None,
         root: np.ndarray | None = None,
-        projection: Projection | None = None,
         validate: bool = True,
     ) -> None:
         M = np.array(matrix, dtype=float)
@@ -96,7 +94,6 @@ class AffineMonotoneProblem(MonotoneMapping):
         self._global_lipschitz = (
             None if global_lipschitz is None else float(global_lipschitz)
         )
-        self._projection = projection or IdentityProjection()
 
     # -- contract ---------------------------------------------------------
 
@@ -115,10 +112,6 @@ class AffineMonotoneProblem(MonotoneMapping):
     @property
     def componentwise_lipschitz(self) -> np.ndarray:
         return self._l
-
-    @property
-    def projection(self) -> Projection:
-        return self._projection
 
     def _compute_global_lipschitz(self) -> float:
         return float(np.linalg.norm(self._M, 2))  # exact: test instances are small
@@ -156,6 +149,7 @@ def random_spd_affine(dim: int, seed: int) -> AffineMonotoneProblem:
     chosen so that a known Gaussian point solves the system exactly, and the
     global Lipschitz constant is the exact largest eigenvalue.
     """
+    _check_sizes(dim=dim)
     if dim < 1:
         raise ConfigurationError("dim must be at least 1")
     gen = seeded_generator(seed, STREAM_INSTANCE)
@@ -167,14 +161,13 @@ def random_spd_affine(dim: int, seed: int) -> AffineMonotoneProblem:
     return AffineMonotoneProblem(
         M,
         rhs,
-        componentwise_lipschitz=np.diag(M).copy(),
         global_lipschitz=lam_max,
         root=x_star,
         validate=False,  # M is SPD by construction
     )
 
 
-def skew_rotation_problem(dim: int = 2) -> AffineMonotoneProblem:
+def skew_rotation_problem(dim: int) -> AffineMonotoneProblem:
     """Block-diagonal rotation map ``F(x) = (x_2, -x_1, x_4, -x_3, ...)``.
 
     Monotone but in no way strongly so; the unique root is the origin. The
@@ -182,6 +175,7 @@ def skew_rotation_problem(dim: int = 2) -> AffineMonotoneProblem:
     constants are set to 1 (any positive value is valid: ``F_i`` does not
     change at all along ``e_i``).
     """
+    _check_sizes(dim=dim)
     if dim < 2 or dim % 2:
         raise ConfigurationError("skew rotation problems need an even dim >= 2")
     M = np.zeros((dim, dim))

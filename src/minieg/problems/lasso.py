@@ -38,6 +38,7 @@ from ..core import (
     NonnegativeProjection,
     Projection,
     STREAM_INSTANCE,
+    _check_sizes,
     _checked_reg,
     _is_real,
     seeded_generator,
@@ -77,10 +78,11 @@ def _aligned(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CSInstanceMeta:
-    """Generation record for a synthetic instance (None fields for real data)."""
+    """Generation record for a synthetic instance (None fields for real data).
 
-    n: int
-    n_measurements: int
+    The sizes are not recorded: they are the shape of the sensing matrix.
+    """
+
     sparsity: int | None
     snr_db: float | None
     realized_snr_db: float | None
@@ -355,8 +357,10 @@ def build_cs_instance(
     ``10 ** (snr_db / 20)`` is not a positive finite float (NaN, -inf, below
     about -6472 dB or above about 6165 dB) is rejected, and so is one so low
     that the scaled noise or its norm would overflow (below about -3080 dB
-    for a signal of unit norm).
+    for a signal of unit norm). A size that is not an integer, or is a bool,
+    raises :class:`ConfigurationError` naming it.
     """
+    _check_sizes(n=n, n_measurements=n_measurements, sparsity=sparsity)
     try:
         noise_scale_ok = _is_real(snr_db) and (
             snr_db == math.inf or 0.0 < 10.0 ** (float(snr_db) / 20.0) < math.inf
@@ -394,8 +398,6 @@ def build_cs_instance(
     b = clean + noise
     realized = 20.0 * np.log10(np.linalg.norm(clean) / scaled_norm) if scaled_norm > 0 else np.inf
     meta = CSInstanceMeta(
-        n=n,
-        n_measurements=n_measurements,
         sparsity=sparsity,
         snr_db=snr_db,
         realized_snr_db=float(realized),
@@ -470,8 +472,6 @@ def load_instance(path) -> CSProblem:
         realized = float(_member(data, "realized_snr_db", path, "real", 0))
         seed = int(_member(data, "seed", path, "integer", 0))
     meta = CSInstanceMeta(
-        n=A.shape[1],
-        n_measurements=A.shape[0],
         sparsity=None if sparsity < 0 else sparsity,
         snr_db=None if np.isnan(snr_db) else snr_db,
         realized_snr_db=None if np.isnan(realized) else realized,

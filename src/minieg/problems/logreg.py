@@ -39,6 +39,7 @@ from ..core import (
     EvaluationSession,
     MonotoneMapping,
     STREAM_INSTANCE,
+    _check_sizes,
     _checked_reg,
     seeded_generator,
 )
@@ -79,6 +80,12 @@ class LogRegProblem(MonotoneMapping):
     for dense input, ``N * N < nnz`` for sparse input. The power iteration
     then multiplies by ``K`` alone, and sessions use it for their step
     updates. Otherwise ``K`` is None and nothing changes.
+
+    Every value error names the argument at fault first, quoted: dense
+    ``features`` that are not 2-d, ``features`` that hold a value that is not
+    finite or lack a feature or a sample, ``labels`` that are not 1-d, not
+    all +-1 or not one per sample, or a ``reg`` that is not a positive and
+    finite real number.
     """
 
     def __init__(self, features, labels, *, reg: float = _REG, spectral_seed: int = 0) -> None:
@@ -87,7 +94,7 @@ class LogRegProblem(MonotoneMapping):
         if labels.ndim != 1:
             raise ConfigurationError(f"'labels' must be 1-d, got shape {labels.shape}")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise ConfigurationError("labels must be +-1")
+            raise ConfigurationError("'labels' must be +-1")
 
         # Store feature-major (n, N): column s is sample a_s.
         self._sparse = sp.issparse(features)
@@ -98,14 +105,14 @@ class LogRegProblem(MonotoneMapping):
         else:
             X = np.asarray(features, dtype=float)
             if X.ndim != 2:
-                raise ConfigurationError(f"features must be 2-d, got shape {X.shape}")
+                raise ConfigurationError(f"'features' must be 2-d, got shape {X.shape}")
             A = np.array(X.T, order="C")
             finite = np.all(np.isfinite(A))
         if not finite:
-            raise ConfigurationError("features must be finite")
+            raise ConfigurationError("'features' must be finite")
         if A.shape[1] != labels.shape[0]:
             raise ConfigurationError(
-                f"feature matrix has {A.shape[1]} samples but there are {labels.shape[0]} labels"
+                f"'labels' holds {labels.shape[0]} entries, but 'features' has {A.shape[1]} rows"
             )
 
         self._A = A  # (n, N) feature-major
@@ -115,7 +122,7 @@ class LogRegProblem(MonotoneMapping):
         self._reg = reg
         self._n, self._N = A.shape
         if self._n == 0 or self._N == 0:
-            raise ConfigurationError("need at least one feature and one sample")
+            raise ConfigurationError("'features' must hold at least one feature and one sample")
         self._nb = -labels  # -b and -b * N, for the sample weights
         self._nb_n = self._nb * self._N
 
@@ -218,15 +225,15 @@ class LogRegSession(EvaluationSession):
 
     _problem: LogRegProblem
 
-    def __init__(self, problem: LogRegProblem, x0: np.ndarray, ledger: CostLedger) -> None:
-        n, N = problem.dim, problem.n_samples
+    def _open(self) -> None:
+        n, N = self._problem.dim, self._problem.n_samples
         self._f = np.empty(n)  # F(x); eval_full hands out copies
         self._ridge = np.empty(n)  # reg * x
         self._z = np.empty(N)  # A^T x
         self._w = np.empty(N)
         self._dz = np.empty(N)  # a shift's or an update's change of z
         self._anchor_z = np.empty(N)  # A^T anchor, read only with a Gram matrix
-        super().__init__(problem, x0, ledger)
+        self._rebuild()
 
     def probe(self, scale: float) -> None:
         if self._problem._K is None:
@@ -308,8 +315,10 @@ def synthetic_logreg(
     gives homogeneous features, and a positive one spreads the componentwise
     constants. Labels are sampled from the logistic model of a random dense
     weight vector. A ``seed`` that is not an integer in ``[0, 2**64)``
-    raises :class:`ConfigurationError`.
+    raises :class:`ConfigurationError`, and so does a size that is not an
+    integer, or is a bool, naming it.
     """
+    _check_sizes(n_features=n_features, n_samples=n_samples)
     if n_features < 1 or n_samples < 1:
         raise ConfigurationError("need at least one feature and one sample")
     gen = seeded_generator(seed, STREAM_INSTANCE)

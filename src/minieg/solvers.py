@@ -118,16 +118,15 @@ class StepsizeFailure(RuntimeError):
         self,
         product: float,
         *,
-        iteration: int | None = None,
+        iteration: int,
+        point: np.ndarray,
         coordinate: int | None = None,
-        point: np.ndarray | None = None,
     ) -> None:
-        where = "" if iteration is None else f" at iteration {iteration}"
         which = "" if coordinate is None else f", coordinate {coordinate}"
         tested = "<F(y), x - y>" if coordinate is None else "F_i(y) * F_i(x)"
         super().__init__(
-            f"step-size sign test failed{where}{which}: {tested} = {product:.6e} < 0 "
-            "(the Lipschitz constants are too small)"
+            f"step-size sign test failed at iteration {iteration}{which}: "
+            f"{tested} = {product:.6e} < 0 (the Lipschitz constants are too small)"
         )
         self.product = product
         self.iteration = iteration

@@ -14,6 +14,7 @@ from minieg import (
     EvaluationSession,
     MonotoneMapping,
     SolverConfig,
+    run_solver,
 )
 from minieg.bench import (
     AffineSource,
@@ -97,8 +98,12 @@ def test_gaussian_starts_are_feasible_and_seeded():
     c = _make_x0(spec, problem, trial=1)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
-    assert np.all(a >= 0.0)  # nonnegative orthant
-    assert np.any(a > 0.0)
+    # run_solver projects the draw: the run starts in the nonnegative orthant.
+    starts = []
+    run_solver(problem, "gmini", SolverConfig(max_iterations=1), x0=a,
+               callback=lambda obs: starts.append(obs.x))
+    assert np.all(starts[0] >= 0.0) and np.any(starts[0] > 0.0)
+    np.testing.assert_array_equal(starts[0], np.maximum(a, 0.0))
 
 
 # The trial CSV of a gaussian-start sparse-recovery run, wall time dropped:
@@ -548,9 +553,9 @@ def test_result_json_matches_the_fixed_document():
 
 
 def test_rank_trace_skips_an_iteration_that_selects_no_coordinate():
-    # gmini started at an exact root probes in place and converges at once.
-    problem = AffineMonotoneProblem(np.eye(2), rhs=[1.0, 2.0])
-    result, points = rank_trace(problem, method="gmini", x0=np.array([1.0, 2.0]))
+    # gmini started at an exact root, the origin, probes in place and converges at once.
+    problem = AffineMonotoneProblem(np.eye(2))
+    result, points = rank_trace(problem, method="gmini")
     assert result.converged and result.iterations == 1
     assert points == []
 

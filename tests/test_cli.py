@@ -287,7 +287,7 @@ SWEEP_JSON = """\
 def test_sweep_rho_writes_the_fixed_documents(fmt, document, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(
         minieg.cli, "sweep_rho",
-        lambda spec, grid: SweepResult(spec, tuple(grid), list(SWEEP_ROWS), {"trials": 1}),
+        lambda spec, grid: SweepResult(tuple(grid), list(SWEEP_ROWS), {"trials": 1}),
     )
     out = tmp_path / f"sweep.{fmt}"
     code = main([

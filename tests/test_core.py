@@ -22,6 +22,7 @@ from minieg.problems import (
     LogRegProblem,
     build_cs_instance,
     random_spd_affine,
+    skew_rotation_problem,
     synthetic_logreg,
 )
 
@@ -188,6 +189,36 @@ NON_INTEGER_SEEDS = {
 def test_a_seed_that_is_not_an_integer_is_named(case):
     with pytest.raises(ConfigurationError, match="seed must be an integer"):
         NON_INTEGER_SEEDS[case]()
+
+
+# A generator size that is not an integer used to fail inside numpy with a
+# TypeError that named no argument; True used to pass the range checks.
+NON_INTEGER_SIZES = {
+    "cs-n": (lambda: build_cs_instance(True, 8, 1), "n"),
+    "cs-measurements": (lambda: build_cs_instance(16, 8.0, 2), "n_measurements"),
+    "cs-sparsity": (lambda: build_cs_instance(16, 8, 2.5), "sparsity"),
+    "logreg-features-float": (lambda: synthetic_logreg(10.5, 5), "n_features"),
+    "logreg-features-bool": (lambda: synthetic_logreg(True, 5), "n_features"),
+    "logreg-samples": (lambda: synthetic_logreg(5, 10.5), "n_samples"),
+    "spd-dim-float": (lambda: random_spd_affine(4.0, 0), "dim"),
+    "spd-dim-bool": (lambda: random_spd_affine(True, 0), "dim"),
+    "skew-dim": (lambda: skew_rotation_problem(4.0), "dim"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_INTEGER_SIZES))
+def test_a_size_that_is_not_an_integer_is_named(case):
+    build, name = NON_INTEGER_SIZES[case]
+    with pytest.raises(ConfigurationError, match=f"^'{name}' must be an integer, got "):
+        build()
+
+
+@pytest.mark.parametrize("size", [np.int64(4), np.uint8(4)])
+def test_a_numpy_integer_size_is_accepted(size):
+    assert random_spd_affine(size, 0).dim == 4
+    assert skew_rotation_problem(size).dim == 4
+    assert synthetic_logreg(size, size).dim == 4
+    assert build_cs_instance(size, size, 1).n_signal == 4
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ A public name is declared once, in the ``__all__`` of the module that defines
 it; each package re-exports the ``__all__`` of the modules it names below.
 """
 
+import enum
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -56,3 +58,46 @@ def test_a_package_exports_exactly_what_its_modules_declare(package_name):
     assert sorted(set(package.__all__) - {"__version__"}) == sorted(declared)
     assert [name for name, module in declared.items()
             if getattr(package, name) is not getattr(module, name)] == []
+
+
+# The public options of the packages and the CLI, counted by the test below.
+# A change that adds or removes an option changes this number in its diff.
+OPTION_COUNT = 60
+
+
+def _defaulted(obj) -> int:
+    try:
+        parameters = inspect.signature(obj).parameters.values()
+    except ValueError:  # a built-in constructor, such as an exception's, has no signature
+        return 0
+    return sum(p.default is not inspect.Parameter.empty for p in parameters)
+
+
+def test_the_option_count_is_pinned():
+    """Counts the defaulted parameters of the public API.
+
+    Method: for each distinct object in the ``__all__`` of ``minieg``,
+    ``minieg.problems``, ``minieg.bench`` and ``minieg.cli``, count the
+    parameters with a default in ``inspect.signature`` of every function,
+    of every class other than an enum (its constructor, so a dataclass
+    counts its defaulted fields), and of every function in a class's own
+    namespace (``vars(cls)``) whose name does not start with an underscore.
+    Constants, properties, inherited methods and a built-in constructor
+    without a signature (``ConfigurationError``'s) count nothing.
+    """
+    count, seen = 0, set()
+    for package in ("minieg", "minieg.problems", "minieg.bench", "minieg.cli"):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if id(obj) in seen or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+                continue
+            seen.add(id(obj))
+            if inspect.isfunction(obj):
+                count += _defaulted(obj)
+            elif not issubclass(obj, enum.Enum):
+                count += _defaulted(obj) + sum(
+                    _defaulted(member) for key, member in vars(obj).items()
+                    if inspect.isfunction(member) and not key.startswith("_")
+                )
+    assert count == OPTION_COUNT

@@ -146,6 +146,29 @@ def test_validation_errors():
 _GOOD_LABELS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
+# Each rejection names the argument at fault first, quoted, as CSProblem's do.
+NAMED_REJECTIONS = {
+    "features-1d": ((np.ones(4), _GOOD_LABELS), r"^'features' must be 2-d, got shape \(4,\)"),
+    "features-nan": (
+        (np.array([[np.nan, 1.0]] * 4), _GOOD_LABELS), r"^'features' must be finite",
+    ),
+    "features-empty": (
+        (np.ones((4, 0)), _GOOD_LABELS), "^'features' must hold at least one feature and one sample",
+    ),
+    "labels-not-pm1": ((np.ones((4, 2)), [0.0, 1.0, 0.0, 1.0]), r"^'labels' must be \+-1"),
+    "labels-count": (
+        (np.ones((4, 2)), _GOOD_LABELS[:3]), r"^'labels' holds 3 entries, but 'features' has 4 rows",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NAMED_REJECTIONS))
+def test_a_rejection_names_the_argument_first(case):
+    args, message = NAMED_REJECTIONS[case]
+    with pytest.raises(ConfigurationError, match=message):
+        LogRegProblem(*args)
+
+
 @pytest.mark.parametrize("features, reg", [
     (np.array([[1.0, np.nan, 0.0]] + [[1.0, 1.0, 1.0]] * 3), 0.1),
     (np.array([[1.0, np.inf, 0.0]] + [[1.0, 1.0, 1.0]] * 3), 0.1),
