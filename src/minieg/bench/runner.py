@@ -412,7 +412,7 @@ class RankPoint:
 
 def rank_trace(
     problem: MonotoneMapping,
-    method: str = "wmax",
+    method: str,
     config: SolverConfig | None = None,
 ):
     """Instrumented run recording where each selected coordinate ranks.

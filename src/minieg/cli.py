@@ -237,14 +237,6 @@ def _cmd_sweep_rho(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank_trace(args: argparse.Namespace) -> int:
-    if not args.diagnostics:
-        print(
-            "rank-trace needs --diagnostics: ranking the selected coordinate "
-            "costs one extra full map evaluation per iteration (never "
-            "charged to the ledger, but far too slow to leave on by default).",
-            file=sys.stderr,
-        )
-        return 2
     problem = _source_from_args(args).build(0)
     result, points = rank_trace(problem, method=args.method, config=_config_from_args(args))
 
@@ -312,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(rank)
     _add_solver_flags(rank)
     rank.add_argument("--method", choices=[m for m in METHOD_IDS if m != "eg"], default="wmax")
-    rank.add_argument(
-        "--diagnostics",
-        action="store_true",
-        help="required: acknowledges the extra full evaluation per iteration",
-    )
     rank.add_argument("--out", help="CSV output path")
     rank.set_defaults(func=_cmd_rank_trace)
 

@@ -101,13 +101,15 @@ STREAM_INSTANCE = 2
 STREAM_POWER = 3
 
 
-def seeded_generator(seed: int, stream: int = 0) -> np.random.Generator:
+def seeded_generator(seed: int, stream: int) -> np.random.Generator:
     """Return a counter-based generator keyed by ``(seed, stream)``.
 
     Philox is used so that the mapping from the pair to the random sequence is
     explicit and stable; two generators differing in either component produce
-    independent streams. A seed that is not an integer in ``[0, 2**64)``
-    raises :class:`ConfigurationError`.
+    independent streams. ``stream`` is one of the ``STREAM_*`` ids, and has
+    no default, so no caller draws from the solver's stream by leaving it
+    out. A seed that is not an integer in ``[0, 2**64)`` raises
+    :class:`ConfigurationError`.
     """
     key = np.array([_checked_seed(seed), int(stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -125,12 +127,13 @@ class CostLedger:
     ``nf`` is the standard normalized count: ``full_evals + component_evals/n``.
     Counts are kept as exact integers so identities such as "extragradient
     performs exactly two full evaluations per iteration" can be asserted
-    without floating-point slack.
+    without floating-point slack. A ledger is built as ``CostLedger(n)``, and
+    both counts start at 0.
     """
 
     n: int
-    full_evals: int = 0
-    component_evals: int = 0
+    full_evals: int = field(default=0, init=False)
+    component_evals: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.n <= 0:

@@ -115,8 +115,11 @@ class CSProblem(MonotoneMapping):
     the slope of ``min(z_i, (Hz+c)_i)`` along ``e_i`` is either 1 or
     ``H_ii``. The global constant scales the estimated spectral norm of
     ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(); a power iteration
-    that does not converge raises :class:`ConfigurationError`. ``reg``
-    defaults to ``0.1 * ||A^T b||_inf``.
+    that does not converge raises :class:`ConfigurationError`. That power
+    iteration is seeded with the generation record's seed, ``meta.seed``, or
+    with 0 when there is no record or it holds no seed, so an instance and
+    its saved archive share one global bound, bit for bit. ``reg`` defaults
+    to ``0.1 * ||A^T b||_inf``.
 
     Every value error names the argument at fault first, quoted: a
     ``sensing`` that is not 2-d or has no column, ``measurements`` that are
@@ -134,7 +137,6 @@ class CSProblem(MonotoneMapping):
         reg: float | None = None,
         x_true: np.ndarray | None = None,
         meta: CSInstanceMeta | None = None,
-        spectral_seed: int = 0,
     ) -> None:
         A = np.array(sensing, dtype=float)
         b = np.array(measurements, dtype=float)
@@ -172,7 +174,7 @@ class CSProblem(MonotoneMapping):
 
         h = np.maximum(np.diag(self._G), 1.0)
         self._l = np.concatenate([h, h])
-        self._spectral_seed = spectral_seed
+        self._spectral_seed = 0 if meta is None or meta.seed is None else meta.seed
 
         self.x_true = x
         self.meta = meta
@@ -350,9 +352,10 @@ def build_cs_instance(
     (unit expected column norms), the planted signal has ``sparsity``
     Gaussian spikes on a random support, and Gaussian measurement noise is
     scaled to the requested SNR (20 dB by default). The regularization weight
-    follows the usual ``reg_scale * ||A^T b||_inf`` rule, and the power
-    iteration behind the global bound is seeded with ``seed``; a ``seed`` that
-    is not an integer in ``[0, 2**64)`` raises :class:`ConfigurationError`.
+    follows the usual ``reg_scale * ||A^T b||_inf`` rule. ``seed`` is kept in
+    the record ``meta``, which seeds the power iteration behind the global
+    bound (see :class:`CSProblem`); a ``seed`` that is not an integer in
+    ``[0, 2**64)`` raises :class:`ConfigurationError`.
     An ``snr_db`` of +inf builds a noiseless instance; one whose noise scale
     ``10 ** (snr_db / 20)`` is not a positive finite float (NaN, -inf, below
     about -6472 dB or above about 6165 dB) is rejected, and so is one so low
@@ -409,7 +412,6 @@ def build_cs_instance(
         reg=_derived_reg(A.T @ b, reg_scale, "reg_scale"),
         x_true=x_true,
         meta=meta,
-        spectral_seed=seed,
     )
 
 
@@ -447,9 +449,9 @@ def load_instance(path) -> CSProblem:
     ``"{path}: key {error}"``. An empty ``x_true`` stands for none. A
     missing or unreadable file raises :class:`OSError`.
 
-    The power iteration behind the global bound is seeded with the archive's
-    ``seed`` as :func:`build_cs_instance` seeds it, or with 0 when ``seed``
-    is negative (no generator), so a generated instance loads with the same
+    The record ``meta`` keeps the archive's ``seed``, or None when it is
+    negative (no generator), and seeds the power iteration as
+    :class:`CSProblem` states, so a generated instance loads with the same
     global bound, bit for bit, and solves alike.
     """
     # An open file: numpy.load leaves its own file open when a zip header is bad.
@@ -479,7 +481,7 @@ def load_instance(path) -> CSProblem:
     )
     x_true = None if x_true.size == 0 else x_true
     try:  # CSProblem names the argument at fault first, and each argument is its key
-        return CSProblem(A, b, reg=reg, x_true=x_true, meta=meta, spectral_seed=max(seed, 0))
+        return CSProblem(A, b, reg=reg, x_true=x_true, meta=meta)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{path}: key {exc}") from None
 

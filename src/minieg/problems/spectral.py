@@ -24,6 +24,8 @@ _SPECTRAL_SAFETY = 1.01
 # The power iteration stops once the Rayleigh quotient changes by at most
 # this fraction of itself.
 _TOLERANCE = 1e-6
+# The cap on matrix-vector products.
+_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -44,8 +46,7 @@ def estimate_lambda_max(
     matvec: Callable[[np.ndarray], np.ndarray],
     dim: int,
     *,
-    seed: int = 0,
-    max_iterations: int = 10_000,
+    seed: int,
 ) -> SpectralEstimate:
     """Estimate the largest eigenvalue of a symmetric PSD operator.
 
@@ -58,17 +59,14 @@ def estimate_lambda_max(
     seed:
         Seeds the random start vector (its own stream, so reusing a solver
         seed here cannot correlate the draws).
-    max_iterations:
-        The cap on matrix-vector products.
 
     The iteration stops once the Rayleigh quotient changes by at most a
-    relative 1e-6, and early with an exact answer when the operator
-    annihilates the current vector (e.g. the zero matrix).
+    relative 1e-6, early with an exact answer when the operator annihilates
+    the current vector (e.g. the zero matrix), and unconverged after 10 000
+    matrix-vector products.
     """
     if dim <= 0:
         raise ConfigurationError(f"operator dimension must be positive, got {dim}")
-    if max_iterations < 1:
-        raise ConfigurationError("max_iterations must be at least 1")
 
     gen = seeded_generator(seed, STREAM_POWER)
     v = gen.standard_normal(dim)
@@ -76,7 +74,7 @@ def estimate_lambda_max(
 
     rayleigh = 0.0
     previous = None
-    for k in range(1, max_iterations + 1):
+    for k in range(1, _MAX_ITERATIONS + 1):
         w = np.asarray(matvec(v), dtype=float)
         rayleigh = float(np.dot(v, w))
         norm_w = float(np.linalg.norm(w))
@@ -89,7 +87,7 @@ def estimate_lambda_max(
         previous = rayleigh
         v = w / norm_w
 
-    return SpectralEstimate(value=rayleigh, iterations=max_iterations, converged=False)
+    return SpectralEstimate(value=rayleigh, iterations=_MAX_ITERATIONS, converged=False)
 
 
 def require_converged(estimate: SpectralEstimate) -> float:

@@ -287,7 +287,7 @@ def _checked_sampler(sampler: IndexSampler, n: int) -> IndexSampler:
     def checked(gen: np.random.Generator, session: EvaluationSession) -> int:
         nonlocal draws
         i = sampler(gen, session)
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 0 <= i < n:
+        if not (_is_integer(i) and 0 <= i < n):
             raise ConfigurationError(
                 f"index sampler drew {i!r} at iteration {draws}; "
                 f"a draw must be an integer in [0, {n})"

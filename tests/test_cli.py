@@ -161,16 +161,15 @@ def test_generated_instance_feeds_the_bench_subcommand(tmp_path, capsys):
     assert "G-Mini-EG" in out and "Watchdog-Max" in out
 
 
-def test_rank_trace_requires_the_diagnostics_acknowledgement(capsys):
+def test_rank_trace_runs_without_an_acknowledgement_flag(capsys):
     code = main(["rank-trace", "--affine", "8"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "--diagnostics" in captured.err
+    assert code == 0
+    assert "diagnostic overhead:" in capsys.readouterr().out
 
 
 def test_rank_trace_reports_summary_lines(capsys):
     code = main([
-        "rank-trace", "--affine", "12", "--diagnostics", "--max-iters", "400",
+        "rank-trace", "--affine", "12", "--max-iters", "400",
     ])
     captured = capsys.readouterr()
     assert code == 0
@@ -183,7 +182,7 @@ def test_rank_trace_reports_summary_lines(capsys):
 def test_rank_trace_writes_a_csv(tmp_path, capsys):
     out = tmp_path / "ranks.csv"
     code = main([
-        "rank-trace", "--affine", "10", "--method", "rmini", "--diagnostics",
+        "rank-trace", "--affine", "10", "--method", "rmini",
         "--max-iters", "200", "--out", str(out),
     ])
     capsys.readouterr()
@@ -304,7 +303,7 @@ def test_rank_trace_writes_the_fixed_document(tmp_path, capsys, monkeypatch):
     run = SimpleNamespace(status=RunStatus.CONVERGED, iterations=3)
     monkeypatch.setattr(minieg.cli, "rank_trace", lambda problem, method, config: (run, points))
     out = tmp_path / "ranks.csv"
-    assert main(["rank-trace", "--affine", "4", "--diagnostics", "--out", str(out)]) == 0
+    assert main(["rank-trace", "--affine", "4", "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
         "method=wmax status=converged iterations=3\n"
         "median normalized rank: 0.25000\n"

@@ -166,15 +166,16 @@ def test_seeded_generator_seeds_are_independent():
 
 def test_seeded_generator_validates_seed_range():
     with pytest.raises(ConfigurationError):
-        seeded_generator(-1)
+        seeded_generator(-1, STREAM_SOLVER)
     with pytest.raises(ConfigurationError):
-        seeded_generator(2**64)
+        seeded_generator(2**64, STREAM_SOLVER)
     # Boundary values are fine.
-    seeded_generator(0)
-    seeded_generator(2**64 - 1)
+    seeded_generator(0, STREAM_SOLVER)
+    seeded_generator(2**64 - 1, STREAM_SOLVER)
     # So are numpy integers, which draw as the same Python int does.
     for seed in (np.int64(3), np.uint64(3)):
-        assert seeded_generator(seed).random() == seeded_generator(3).random()
+        assert (seeded_generator(seed, STREAM_SOLVER).random()
+                == seeded_generator(3, STREAM_SOLVER).random())
 
 
 # A seed that is not an integer used to be truncated by int(seed).

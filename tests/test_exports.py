@@ -62,15 +62,15 @@ def test_a_package_exports_exactly_what_its_modules_declare(package_name):
 
 # The public options of the packages and the CLI, counted by the test below.
 # A change that adds or removes an option changes this number in its diff.
-OPTION_COUNT = 60
+OPTION_COUNT = 53
 
 
-def _defaulted(obj) -> int:
+def _defaulted(obj) -> list[str]:
     try:
         parameters = inspect.signature(obj).parameters.values()
     except ValueError:  # a built-in constructor, such as an exception's, has no signature
-        return 0
-    return sum(p.default is not inspect.Parameter.empty for p in parameters)
+        return []
+    return [p.name for p in parameters if p.default is not inspect.Parameter.empty]
 
 
 def test_the_option_count_is_pinned():
@@ -83,9 +83,10 @@ def test_the_option_count_is_pinned():
     counts its defaulted fields), and of every function in a class's own
     namespace (``vars(cls)``) whose name does not start with an underscore.
     Constants, properties, inherited methods and a built-in constructor
-    without a signature (``ConfigurationError``'s) count nothing.
+    without a signature (``ConfigurationError``'s) count nothing. On a
+    mismatch the message lists each object's defaulted parameters.
     """
-    count, seen = 0, set()
+    options, seen = {}, set()
     for package in ("minieg", "minieg.problems", "minieg.bench", "minieg.cli"):
         module = importlib.import_module(package)
         for name in module.__all__:
@@ -94,10 +95,12 @@ def test_the_option_count_is_pinned():
                 continue
             seen.add(id(obj))
             if inspect.isfunction(obj):
-                count += _defaulted(obj)
+                options[f"{package}.{name}"] = _defaulted(obj)
             elif not issubclass(obj, enum.Enum):
-                count += _defaulted(obj) + sum(
-                    _defaulted(member) for key, member in vars(obj).items()
-                    if inspect.isfunction(member) and not key.startswith("_")
-                )
-    assert count == OPTION_COUNT
+                options[f"{package}.{name}"] = _defaulted(obj)
+                for key, member in vars(obj).items():
+                    if inspect.isfunction(member) and not key.startswith("_"):
+                        options[f"{package}.{name}.{key}"] = _defaulted(member)
+    count = sum(len(names) for names in options.values())
+    listing = "\n".join(f"{owner}: {', '.join(names)}" for owner, names in options.items() if names)
+    assert count == OPTION_COUNT, listing

@@ -969,7 +969,7 @@ BAD_DRAW_PROBLEMS = {
 
 @pytest.mark.parametrize("name", sorted(BAD_DRAW_PROBLEMS))
 @pytest.mark.parametrize("method", ["rmini", "wmax"])
-@pytest.mark.parametrize("bad", [-1, "n", 2.7, True])
+@pytest.mark.parametrize("bad", [-1, "n", 2.7, True, np.True_, np.float64(2.0)])
 def test_a_custom_sampler_draw_that_is_no_coordinate_fails_fast(name, method, bad):
     problem = BAD_DRAW_PROBLEMS[name]()
     n = problem.dim

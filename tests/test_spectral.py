@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minieg import ConfigurationError
-from minieg.problems import estimate_lambda_max
+from minieg.problems import estimate_lambda_max, spectral
 
 
 def test_diagonal_matrix_recovers_top_entry():
@@ -46,9 +46,10 @@ def test_zero_operator_is_exact():
     assert est.value == 0.0
 
 
-def test_iteration_cap_reports_nonconvergence():
+def test_iteration_cap_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
     M = np.diag([1.0, 0.999])  # tiny spectral gap, one iteration cannot settle
-    est = estimate_lambda_max(lambda v: M @ v, 2, seed=0, max_iterations=1)
+    est = estimate_lambda_max(lambda v: M @ v, 2, seed=0)
     assert not est.converged
     assert est.iterations == 1
     assert 0.0 < est.value <= 1.0 + 1e-12
@@ -56,9 +57,7 @@ def test_iteration_cap_reports_nonconvergence():
 
 def test_estimator_validates_arguments():
     with pytest.raises(ConfigurationError):
-        estimate_lambda_max(lambda v: v, 0)
-    with pytest.raises(ConfigurationError):
-        estimate_lambda_max(lambda v: v, 3, max_iterations=0)
+        estimate_lambda_max(lambda v: v, 0, seed=0)
 
 
 def test_same_seed_same_estimate():
