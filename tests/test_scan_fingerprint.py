@@ -2,6 +2,8 @@
 
 import dataclasses
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +44,38 @@ def test_a_point_one_ulp_away_changes_the_fingerprint():
     assert scan_seeds.fingerprint(moved) != scan_seeds.fingerprint(result)
     assert scan_seeds.fingerprint(_solve()) == scan_seeds.fingerprint(result)
     assert scan_seeds.fingerprint(_solve(seed=1)) != scan_seeds.fingerprint(result)
+
+
+def test_a_written_table_holds_the_lines_without_seconds_under_the_environment(
+        monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(harness.WORKLOADS, "tiny", TINY)
+    table = tmp_path / "table.txt"
+    assert scan_seeds.main(["--workload", "tiny", "--seeds", "0:2", "--write", str(table)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    first, *lines = table.read_text().splitlines()
+    assert json.loads(first) == {"workload": "tiny", "seeds": "0:2", "env": harness.environment()}
+    assert lines == [re.sub(r", [0-9.]+ s,", ",", line) for line in printed]
+    assert lines[0].startswith("seed 0 rmini: converged, ") and " s," not in lines[0]
+    assert lines[-1] == "tiny: 2 of 2 solves passed"
+
+
+def test_a_check_names_the_environment_first_then_every_line_that_differs(
+        monkeypatch, capsys, tmp_path):
+    monkeypatch.setitem(harness.WORKLOADS, "tiny", TINY)
+    table = tmp_path / "table.txt"
+    scan_seeds.main(["--workload", "tiny", "--seeds", "0:2", "--write", str(table)])
+    capsys.readouterr()
+    assert scan_seeds.main(["--check", str(table)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"{table}: 0 difference(s)"
+
+    first, *lines = table.read_text().splitlines()
+    record = json.loads(first)
+    record["env"]["numpy"] = "0.0"
+    moved = lines[1].replace("fingerprint converged/", "fingerprint iteration_cap_reached/")
+    table.write_text("\n".join([json.dumps(record), lines[0], moved, lines[2]]) + "\n")
+    assert scan_seeds.main(["--check", str(table)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (f"{table}: environment differs in numpy: recorded '0.0', "
+                      f"here {harness.environment()['numpy']!r}")
+    assert out[-4:] == [f"{table}:3 differs:", f"  recorded: {moved}", f"  now:      {lines[1]}",
+                        f"{table}: 2 difference(s)"]

@@ -60,3 +60,11 @@ def test_a_solve_that_raises_is_reported_and_the_scan_goes_on(monkeypatch, capsy
 def test_a_malformed_seed_range_is_refused(text):
     with pytest.raises(argparse.ArgumentTypeError):
         scan_seeds.parse_seeds(text)
+
+
+@pytest.mark.parametrize("argv", [[], ["--workload", "cs-desk"], ["--seeds", "0:1"],
+                                  ["--check", "table.txt", "--seeds", "0:1"]])
+def test_a_scan_needs_a_workload_and_seeds_or_else_only_a_table_to_check(argv):
+    with pytest.raises(SystemExit) as exc:
+        scan_seeds.main(argv)
+    assert exc.value.code == 2
