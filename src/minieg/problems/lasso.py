@@ -114,7 +114,9 @@ class CSProblem(MonotoneMapping):
     constants are ``max(diag(A^T A), 1)`` duplicated across both halves --
     the slope of ``min(z_i, (Hz+c)_i)`` along ``e_i`` is either 1 or
     ``H_ii``. The global constant scales the estimated spectral norm of
-    ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(); a power iteration
+    ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(). The spectral norm of
+    ``H`` is twice ``lambda_1(A^T A) == lambda_1(A A^T)``, estimated by power
+    iteration over the smaller of the two Gram matrices, and an iteration
     that does not converge raises :class:`ConfigurationError`. That power
     iteration is seeded with the generation record's seed, ``meta.seed``, or
     with 0 when there is no record or it holds no seed, so an instance and
@@ -210,8 +212,12 @@ class CSProblem(MonotoneMapping):
         return NonnegativeProjection()
 
     def _compute_global_lipschitz(self) -> float:
+        A = self._A
+        m, n = A.shape
+        # lambda_1(A A^T) == lambda_1(A^T A); iterate over the smaller side.
+        gram = np.matmul(A, A.T, out=_aligned((m, m))) if m < n else self._G
         self.lambda_setup = estimate_lambda_max(
-            lambda v: self._G @ v, self._n_signal, seed=self._spectral_seed
+            gram.__matmul__, gram.shape[0], seed=self._spectral_seed
         )
         lambda_h = 2.0 * require_converged(self.lambda_setup)  # spectrum of H is {0} U 2*spec(B)
         return float(np.sqrt(self.dim) * max(lambda_h, 1.0))

@@ -9,12 +9,13 @@ quotient converges monotonically from below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..core import ConfigurationError, STREAM_POWER, seeded_generator
+from ..core import ConfigurationError, STREAM_POWER, _check_sizes, seeded_generator
 
 __all__ = ["SpectralEstimate", "estimate_lambda_max", "require_converged"]
 
@@ -34,7 +35,10 @@ class SpectralEstimate:
 
     ``converged`` is False when the iteration cap was hit before the Rayleigh
     quotient stabilized; ``value`` is then the best estimate so far and
-    callers should treat it as a lower bound.
+    callers should treat it as a lower bound. It is False too when a product's
+    quotient or norm is not finite (a NaN, or an overflow); the run stops at
+    that product and ``value`` is the quotient, or the norm when the quotient
+    is finite, so it is not finite either.
     """
 
     value: float
@@ -55,29 +59,34 @@ def estimate_lambda_max(
     matvec:
         Callable computing ``A @ v`` for the symmetric PSD matrix ``A``.
     dim:
-        Ambient dimension of the operator.
+        Ambient dimension of the operator: a positive integer.
     seed:
         Seeds the random start vector (its own stream, so reusing a solver
         seed here cannot correlate the draws).
 
     The iteration stops once the Rayleigh quotient changes by at most a
     relative 1e-6, early with an exact answer when the operator annihilates
-    the current vector (e.g. the zero matrix), and unconverged after 10 000
+    the current vector (e.g. the zero matrix), and unconverged at the first
+    product whose quotient or norm is not finite or after 10 000
     matrix-vector products.
     """
+    _check_sizes(dim=dim)
     if dim <= 0:
         raise ConfigurationError(f"operator dimension must be positive, got {dim}")
 
     gen = seeded_generator(seed, STREAM_POWER)
     v = gen.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
 
     rayleigh = 0.0
     previous = None
     for k in range(1, _MAX_ITERATIONS + 1):
         w = np.asarray(matvec(v), dtype=float)
         rayleigh = float(np.dot(v, w))
-        norm_w = float(np.linalg.norm(w))
+        norm_w = _norm(w)
+        if not (math.isfinite(rayleigh) and math.isfinite(norm_w)):
+            value = norm_w if math.isfinite(rayleigh) else rayleigh
+            return SpectralEstimate(value=value, iterations=k, converged=False)
         if norm_w == 0.0:
             # The operator maps v to zero; for a PSD matrix reached from a
             # generic start this means the estimate is exact.
@@ -85,9 +94,16 @@ def estimate_lambda_max(
         if previous is not None and abs(rayleigh - previous) <= _TOLERANCE * max(abs(rayleigh), 1e-30):
             return SpectralEstimate(value=rayleigh, iterations=k, converged=True)
         previous = rayleigh
-        v = w / norm_w
+        np.divide(w, norm_w, out=v)  # the bits of w / norm_w, in the iterate's own buffer
 
     return SpectralEstimate(value=rayleigh, iterations=_MAX_ITERATIONS, converged=False)
+
+
+def _norm(v: np.ndarray) -> float:
+    """The Euclidean norm of the real vector ``v``, with the bits of
+    ``np.linalg.norm(v)``, which numpy computes as ``sqrt(v.dot(v))`` too,
+    with more overhead."""
+    return math.sqrt(float(np.dot(v, v)))
 
 
 def require_converged(estimate: SpectralEstimate) -> float:
@@ -95,10 +111,17 @@ def require_converged(estimate: SpectralEstimate) -> float:
 
     Returns ``1.01 * estimate.value``: the estimate with the 1% safety
     margin every global bound carries. Raises :class:`ConfigurationError`
-    unless the power iteration converged: an unconverged estimate is only a
-    lower bound on the largest eigenvalue, and a global Lipschitz bound
-    scaled from it could be too small.
+    unless the power iteration converged: an estimate that is not finite
+    bounds nothing, and an unconverged one is only a lower bound on the
+    largest eigenvalue, so a global Lipschitz bound scaled from it could be
+    too small.
     """
+    if not math.isfinite(estimate.value):
+        raise ConfigurationError(
+            f"the spectral estimate is not finite ({estimate.value}) after "
+            f"{estimate.iterations} matvecs: a product of the operator overflowed or "
+            "holds a NaN, so it cannot give a global Lipschitz bound"
+        )
     if not estimate.converged:
         raise ConfigurationError(
             f"the spectral estimate did not converge within {estimate.iterations} "

@@ -54,22 +54,38 @@ def test_componentwise_constants_are_clipped_gram_diagonals():
     assert problem.dim == 96
 
 
-def test_global_constant_against_a_dense_eigenvalue_oracle():
-    problem = build_cs_instance(16, 8, 3, seed=4)
+@pytest.mark.parametrize("n, m", [(16, 8), (8, 16)], ids=["wide", "tall"])
+def test_global_constant_against_a_dense_eigenvalue_oracle(n, m):
+    problem = build_cs_instance(n, m, 3, seed=4)
     A = problem.sensing
     B = A.T @ A
     H = np.block([[B, -B], [-B, B]])
+    lam_b = float(np.linalg.eigvalsh(B).max())
     lam_h = float(np.linalg.eigvalsh(H).max())
     # The doubled structure has spectrum {0} union 2*spec(B).
-    assert lam_h == pytest.approx(2.0 * np.linalg.eigvalsh(B).max(), rel=1e-10)
+    assert lam_h == pytest.approx(2.0 * lam_b, rel=1e-10)
 
     L = problem.ensure_global_lipschitz()
-    est = estimate_lambda_max(lambda v: B @ v, 16, seed=4)
-    expected = np.sqrt(32.0) * max(1.01 * 2.0 * est.value, 1.0)
+    # The power iteration runs on the smaller Gram matrix: A A^T when wide, B when tall.
+    gram = A @ A.T if m < n else B
+    est = estimate_lambda_max(lambda v: gram @ v, min(m, n), seed=4)
+    expected = np.sqrt(2.0 * n) * max(1.01 * 2.0 * est.value, 1.0)
     assert L == pytest.approx(expected, rel=1e-12)
+    assert problem.lambda_setup.iterations == est.iterations
+    root = np.sqrt(problem.dim)
+    assert root * max(2.0 * lam_b, 1.0) <= L <= root * max(2.02 * lam_b, 1.0)
     assert L >= np.sqrt(problem.dim) * 1.0 - 1e-12  # floor when the map is mild
     kappa = L / problem.componentwise_lipschitz.max()
     assert 1.0 - 1e-12 <= kappa <= problem.dim
+
+
+def test_a_gram_matrix_that_overflows_fails_at_the_first_power_step():
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem = CSProblem([[1e200, 1], [1, 1e200], [3, 1]], np.ones(3), reg=1.0)
+        with pytest.raises(ConfigurationError, match=r"^the spectral estimate is not finite "
+                           r"\(\S+\) after 1 matvecs"):
+            problem.ensure_global_lipschitz()
+    assert problem.lambda_setup.iterations == 1 and not problem.lambda_setup.converged
 
 
 @pytest.mark.parametrize("factory", [

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from minieg import ConfigurationError
+from minieg import ConfigurationError, seeded_generator
+from minieg.core import STREAM_INSTANCE, STREAM_POWER
 from minieg.problems import estimate_lambda_max, spectral
 
 
@@ -58,6 +59,52 @@ def test_iteration_cap_reports_nonconvergence(monkeypatch):
 def test_estimator_validates_arguments():
     with pytest.raises(ConfigurationError):
         estimate_lambda_max(lambda v: v, 0, seed=0)
+    for dim in (2.5, 3.0, True):
+        with pytest.raises(ConfigurationError, match=f"^'dim' must be an integer, got {dim!r}$"):
+            estimate_lambda_max(lambda v: v, dim, seed=0)
+    assert estimate_lambda_max(lambda v: v, np.int64(3), seed=0).converged
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_a_product_that_is_not_finite_stops_the_iteration_at_once(fill):
+    with np.errstate(invalid="ignore"):  # inf times entries of both signs sums to NaN
+        est = estimate_lambda_max(lambda v: np.full_like(v, fill), 3, seed=0)
+    assert not est.converged
+    assert est.iterations == 1
+    assert not np.isfinite(est.value)
+    with pytest.raises(ConfigurationError, match=r"^the spectral estimate is not finite \((nan|-?inf)\) "
+                       r"after 1 matvecs"):
+        spectral.require_converged(est)
+
+
+def _reference_estimate(matvec, dim, seed):
+    """The power iteration as written before the lean step: ``np.linalg.norm``, then ``w / norm_w``."""
+    v = seeded_generator(seed, STREAM_POWER).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    previous = None
+    for k in range(1, spectral._MAX_ITERATIONS + 1):
+        w = np.asarray(matvec(v), dtype=float)
+        rayleigh = float(np.dot(v, w))
+        norm_w = float(np.linalg.norm(w))
+        if norm_w == 0.0:
+            return rayleigh, k
+        if previous is not None and abs(rayleigh - previous) <= 1e-6 * max(abs(rayleigh), 1e-30):
+            return rayleigh, k
+        previous = rayleigh
+        v = w / norm_w
+    return rayleigh, spectral._MAX_ITERATIONS
+
+
+def test_the_lean_power_step_keeps_the_bits_of_the_reference_step():
+    operators = [(lambda v: np.zeros_like(v), 5, 1), (lambda v: v, 4, 2)]
+    for s, n in enumerate((6, 17, 64)):
+        G = seeded_generator(s, STREAM_INSTANCE).standard_normal((n, n))
+        M = G @ G.T / n
+        operators += [(M.__matmul__, n, seed) for seed in (0, 7, 2**40)]
+    for matvec, dim, seed in operators:
+        value, iterations = _reference_estimate(matvec, dim, seed)
+        est = estimate_lambda_max(matvec, dim, seed=seed)
+        assert (est.value.hex(), est.iterations) == (value.hex(), iterations)
 
 
 def test_same_seed_same_estimate():
