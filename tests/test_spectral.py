@@ -65,10 +65,14 @@ def test_estimator_validates_arguments():
     assert estimate_lambda_max(lambda v: v, np.int64(3), seed=0).converged
 
 
-@pytest.mark.parametrize("fill", [np.nan, np.inf])
-def test_a_product_that_is_not_finite_stops_the_iteration_at_once(fill):
-    with np.errstate(invalid="ignore"):  # inf times entries of both signs sums to NaN
-        est = estimate_lambda_max(lambda v: np.full_like(v, fill), 3, seed=0)
+@pytest.mark.parametrize("matvec", [
+    lambda v: np.full_like(v, np.nan),
+    lambda v: np.full_like(v, np.inf),
+    lambda v: 1e160 * v,  # finite, but its squared norm overflows
+], ids=["nan", "inf", "norm-overflow"])
+def test_a_product_that_is_not_finite_stops_the_iteration_at_once(matvec):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf times entries of both signs is NaN
+        est = estimate_lambda_max(matvec, 3, seed=0)
     assert not est.converged
     assert est.iterations == 1
     assert not np.isfinite(est.value)
@@ -78,7 +82,7 @@ def test_a_product_that_is_not_finite_stops_the_iteration_at_once(fill):
 
 
 def _reference_estimate(matvec, dim, seed):
-    """The power iteration as written before the lean step: ``np.linalg.norm``, then ``w / norm_w``."""
+    """The power iteration with a plain step: ``np.linalg.norm``, then a fresh ``w / norm_w``."""
     v = seeded_generator(seed, STREAM_POWER).standard_normal(dim)
     v /= np.linalg.norm(v)
     previous = None
