@@ -66,7 +66,8 @@ def test_a_check_names_the_environment_first_then_every_line_that_differs(
     scan_seeds.main(["--workload", "tiny", "--seeds", "0:2", "--write", str(table)])
     capsys.readouterr()
     assert scan_seeds.main(["--check", str(table)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"{table}: 0 difference(s)"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"{table}: 0 difference(s)", f"{table}: differ by method: rmini 0"]
 
     first, *lines = table.read_text().splitlines()
     record = json.loads(first)
@@ -77,5 +78,22 @@ def test_a_check_names_the_environment_first_then_every_line_that_differs(
     out = capsys.readouterr().out.splitlines()
     assert out[0] == (f"{table}: environment differs in numpy: recorded '0.0', "
                       f"here {harness.environment()['numpy']!r}")
-    assert out[-4:] == [f"{table}:3 differs:", f"  recorded: {moved}", f"  now:      {lines[1]}",
-                        f"{table}: 2 difference(s)"]
+    assert out[-5:] == [f"{table}:3 differs:", f"  recorded: {moved}", f"  now:      {lines[1]}",
+                        f"{table}: 2 difference(s)", f"{table}: differ by method: rmini 1"]
+
+
+def test_a_check_ends_with_the_lines_that_differ_by_method(monkeypatch, capsys, tmp_path):
+    # Two methods over three seeds; two gmini lines and the summary are edited.
+    monkeypatch.setitem(harness.WORKLOADS, "tiny", dataclasses.replace(TINY, methods=("gmini", "rmini")))
+    table = tmp_path / "table.txt"
+    scan_seeds.main(["--workload", "tiny", "--seeds", "0:3", "--write", str(table)])
+    capsys.readouterr()
+    first, *lines = table.read_text().splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["seed 0 gmini", "seed 0 rmini"]
+    for number in (0, 4):
+        lines[number] = lines[number].replace(": ok", ": FAILED: edited")
+    lines[-1] = "tiny: 0 of 6 solves passed"
+    table.write_text("\n".join([first, *lines]) + "\n")
+    assert scan_seeds.main(["--check", str(table)]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"{table}: 3 difference(s)", f"{table}: differ by method: gmini 2, rmini 0"]
