@@ -243,7 +243,7 @@ class MonotoneMapping(ABC):
       the global Lipschitz constant, computed lazily because it can be the
       single most expensive piece of setup. It computes the bound once, through
       the backend hook ``_compute_global_lipschitz()``, and caches it; a
-      backend that estimates the bound by power iteration records the
+      backend that builds the bound on a spectral estimate records the
       estimate as ``lambda_setup``;
     * ``projection`` -- the feasible region the iterates must stay in;
     * ``open_session`` -- a stateful evaluation cursor (see

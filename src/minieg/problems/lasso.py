@@ -43,7 +43,7 @@ from ..core import (
     _is_real,
     seeded_generator,
 )
-from .spectral import estimate_lambda_max, require_converged
+from .spectral import dense_lambda_max, require_converged
 
 __all__ = [
     "CSProblem",
@@ -115,20 +115,22 @@ class CSProblem(MonotoneMapping):
     the slope of ``min(z_i, (Hz+c)_i)`` along ``e_i`` is either 1 or
     ``H_ii``. The global constant scales the estimated spectral norm of
     ``H`` by ``sqrt(2n)`` to cover the nonsmooth min(). The spectral norm of
-    ``H`` is twice ``lambda_1(A^T A) == lambda_1(A A^T)``, estimated by power
-    iteration over the smaller of the two Gram matrices, and an iteration
-    that does not converge raises :class:`ConfigurationError`. That power
-    iteration is seeded with the generation record's seed, ``meta.seed``, or
-    with 0 when there is no record or it holds no seed, so an instance and
-    its saved archive share one global bound, bit for bit. ``reg`` defaults
-    to ``0.1 * ||A^T b||_inf``.
+    ``H`` is twice ``lambda_1(A^T A) == lambda_1(A A^T)``, taken from a dense
+    symmetric eigensolver (:func:`~minieg.problems.spectral.dense_lambda_max`)
+    on the smaller of the two Gram matrices: the kept ``G = A^T A``, or
+    ``A A^T`` formed for it when ``sensing`` has fewer rows than columns. It
+    depends on the matrix alone, so an instance and its saved archive share
+    one global bound, bit for bit. ``reg`` defaults to
+    ``0.1 * ||A^T b||_inf``.
 
     Every value error names the argument at fault first, quoted: a
     ``sensing`` that is not 2-d or has no column, ``measurements`` that are
     not 1-d with one entry per row of ``sensing``, an ``x_true`` without one
     entry per column of ``sensing``, any of the three holding a value that is
-    not finite, or an explicit ``reg`` that is not a positive and finite real
-    number. A derived ``reg`` that is not positive and finite names its rule.
+    not finite, a ``sensing`` whose Gram matrix ``A^T A`` overflows (the
+    error gives its largest absolute entry), or an explicit ``reg`` that is
+    not a positive and finite real number. A derived ``reg`` that is not
+    positive and finite names its rule.
     """
 
     def __init__(
@@ -168,7 +170,13 @@ class CSProblem(MonotoneMapping):
         self._A[...] = A
         self._b = b
         self._n_signal = n
-        self._G = np.matmul(A.T, A, out=_aligned((n, n)))  # Gram matrix, cached for row shifts
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            self._G = np.matmul(A.T, A, out=_aligned((n, n)))  # Gram matrix, cached for row shifts
+        if not np.all(np.isfinite(self._G)):
+            raise ConfigurationError(
+                f"'sensing' is too large: its Gram matrix AᵀA overflows (largest absolute "
+                f"entry {float(np.abs(A).max())!r})"
+            )
         atb = A.T @ b
         self._reg = _derived_reg(atb, _REG_SCALE) if reg is None else reg
         self._c_top = self._reg - atb          # (Hz+c) upper half offset
@@ -176,7 +184,6 @@ class CSProblem(MonotoneMapping):
 
         h = np.maximum(np.diag(self._G), 1.0)
         self._l = np.concatenate([h, h])
-        self._spectral_seed = 0 if meta is None or meta.seed is None else meta.seed
 
         self.x_true = x
         self.meta = meta
@@ -214,11 +221,8 @@ class CSProblem(MonotoneMapping):
     def _compute_global_lipschitz(self) -> float:
         A = self._A
         m, n = A.shape
-        # lambda_1(A A^T) == lambda_1(A^T A); iterate over the smaller side.
-        gram = np.matmul(A, A.T, out=_aligned((m, m))) if m < n else self._G
-        self.lambda_setup = estimate_lambda_max(
-            gram.__matmul__, gram.shape[0], seed=self._spectral_seed
-        )
+        # lambda_1(A A^T) == lambda_1(A^T A); solve on the smaller side.
+        self.lambda_setup = dense_lambda_max(A @ A.T if m < n else self._G)
         lambda_h = 2.0 * require_converged(self.lambda_setup)  # spectrum of H is {0} U 2*spec(B)
         return float(np.sqrt(self.dim) * max(lambda_h, 1.0))
 
@@ -359,9 +363,8 @@ def build_cs_instance(
     Gaussian spikes on a random support, and Gaussian measurement noise is
     scaled to the requested SNR (20 dB by default). The regularization weight
     follows the usual ``reg_scale * ||A^T b||_inf`` rule. ``seed`` is kept in
-    the record ``meta``, which seeds the power iteration behind the global
-    bound (see :class:`CSProblem`); a ``seed`` that is not an integer in
-    ``[0, 2**64)`` raises :class:`ConfigurationError`.
+    the record ``meta``; a ``seed`` that is not an integer in ``[0, 2**64)``
+    raises :class:`ConfigurationError`.
     An ``snr_db`` of +inf builds a noiseless instance; one whose noise scale
     ``10 ** (snr_db / 20)`` is not a positive finite float (NaN, -inf, below
     about -6472 dB or above about 6165 dB) is rejected, and so is one so low
@@ -456,9 +459,8 @@ def load_instance(path) -> CSProblem:
     missing or unreadable file raises :class:`OSError`.
 
     The record ``meta`` keeps the archive's ``seed``, or None when it is
-    negative (no generator), and seeds the power iteration as
-    :class:`CSProblem` states, so a generated instance loads with the same
-    global bound, bit for bit, and solves alike.
+    negative (no generator). A generated instance loads with the same global
+    bound, bit for bit, and solves alike.
     """
     # An open file: numpy.load leaves its own file open when a zip header is bad.
     with open(path, "rb") as file:

@@ -19,8 +19,8 @@ shift touches only the row's stored entries.
 
 With fewer samples than the design stores entries per sample (``N < n``
 dense, ``N * N < nnz`` sparse), the problem also keeps the sample-space Gram
-matrix ``K = A^T A`` (``N x N``, dense). The power iteration behind the
-global constant then runs on ``K``, and a session moved by a solver's probe
+matrix ``K = A^T A`` (``N x N``, dense). The global constant's eigenvalue
+then comes from a dense symmetric eigensolve of ``K``, and a session moved by a solver's probe
 or step updates its margins in ``O(N^2)`` instead of rebuilding them in
 ``O(nN)``. One rule keeps the rounding of those updates bounded: every 64th
 step since the last exact rebuild is rebuilt exactly, and a probe never is
@@ -43,7 +43,7 @@ from ..core import (
     _checked_reg,
     seeded_generator,
 )
-from .spectral import estimate_lambda_max, require_converged
+from .spectral import dense_lambda_max, estimate_lambda_max, require_converged
 
 __all__ = ["LogRegProblem", "synthetic_logreg"]
 
@@ -69,21 +69,27 @@ class LogRegProblem(MonotoneMapping):
 
     The componentwise Lipschitz constants are ``h_ii / (4N) + reg`` with
     ``h_ii`` the squared Euclidean norm of feature ``i`` across samples; the
-    global constant ``lambda_1(A A^T) / (4N) + reg`` is estimated by power
-    iteration over the smaller of the two Gram matrices, and an iteration
-    that does not converge raises :class:`ConfigurationError`. A coordinate read
+    global constant is ``lambda_1(A A^T) / (4N) + reg``, with the eigenvalue
+    taken from a dense symmetric eigensolver
+    (:func:`~minieg.problems.spectral.dense_lambda_max`) on ``K`` when the
+    problem keeps it, and otherwise estimated by power iteration, seeded with
+    ``spectral_seed``, over the smaller of the two Gram matrices given as
+    products; an iteration that does not converge raises
+    :class:`ConfigurationError`. A coordinate read
     or shift costs one row of the feature matrix: ``N`` contiguous entries
     for dense input, the feature's stored entries for sparse input.
 
     The sample-space Gram matrix ``K = A^T A`` is formed once, as a dense
     ``N x N`` array, when it has fewer entries than ``A`` stores: ``N < n``
-    for dense input, ``N * N < nnz`` for sparse input. The power iteration
-    then multiplies by ``K`` alone, and sessions use it for their step
-    updates. Otherwise ``K`` is None and nothing changes.
+    for dense input, ``N * N < nnz`` for sparse input. The global constant
+    then reads ``K`` alone, and sessions use it for their step updates.
+    Otherwise ``K`` is None and nothing changes.
 
     Every value error names the argument at fault first, quoted: dense
     ``features`` that are not 2-d, ``features`` that hold a value that is not
-    finite or lack a feature or a sample, ``labels`` that are not 1-d, not
+    finite or lack a feature or a sample, ``features`` whose squared norms or
+    kept ``K`` overflow (the error gives their largest absolute entry),
+    ``labels`` that are not 1-d, not
     all +-1 or not one per sample, or a ``reg`` that is not a positive and
     finite real number.
     """
@@ -126,17 +132,23 @@ class LogRegProblem(MonotoneMapping):
         self._nb = -labels  # -b and -b * N, for the sample weights
         self._nb_n = self._nb * self._N
 
-        # Per-feature squared norms.
-        if self._sparse:
-            h = np.asarray(A.multiply(A).sum(axis=1)).ravel()
-        else:
-            h = np.einsum("ij,ij->i", A, A)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            # Per-feature squared norms.
+            if self._sparse:
+                h = np.asarray(A.multiply(A).sum(axis=1)).ravel()
+            else:
+                h = np.einsum("ij,ij->i", A, A)
+            # K = A^T A (N x N), kept where it is smaller than A's stored entries.
+            self._K = None
+            if self._N * self._N < (A.nnz if self._sparse else A.size):
+                K = self._At @ A
+                self._K = K.toarray() if self._sparse else K
+        if not (np.all(np.isfinite(h)) and (self._K is None or np.all(np.isfinite(self._K)))):
+            raise ConfigurationError(
+                f"'features' are too large: their squared norms or Gram matrix AᵀA overflow "
+                f"(largest absolute entry {float(abs(A).max())!r})"
+            )
         self._l = h / (4.0 * self._N) + self._reg
-        # K = A^T A (N x N), kept where it is smaller than A's stored entries.
-        self._K = None
-        if self._N * self._N < (A.nnz if self._sparse else A.size):
-            K = self._At @ A
-            self._K = K.toarray() if self._sparse else K
         self._spectral_seed = spectral_seed
 
     # -- contract ---------------------------------------------------------
@@ -159,17 +171,15 @@ class LogRegProblem(MonotoneMapping):
 
     def _compute_global_lipschitz(self) -> float:
         A, At = self._A, self._At
-        # lambda_1(A A^T) == lambda_1(A^T A); iterate over the smaller side.
+        # lambda_1(A A^T) == lambda_1(A^T A); work on the smaller side.
         if self._K is not None:
-            matvec = self._K.__matmul__
-            dim = self._N
-        elif self._N <= self._n:
-            matvec = lambda v: At @ (A @ v)
-            dim = self._N
+            self.lambda_setup = dense_lambda_max(self._K)
         else:
-            matvec = lambda v: A @ (At @ v)
-            dim = self._n
-        self.lambda_setup = estimate_lambda_max(matvec, dim, seed=self._spectral_seed)
+            if self._N <= self._n:
+                matvec, dim = (lambda v: At @ (A @ v)), self._N
+            else:
+                matvec, dim = (lambda v: A @ (At @ v)), self._n
+            self.lambda_setup = estimate_lambda_max(matvec, dim, seed=self._spectral_seed)
         return require_converged(self.lambda_setup) / (4.0 * self._N) + self._reg
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:

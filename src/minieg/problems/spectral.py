@@ -1,10 +1,16 @@
-"""Largest-eigenvalue estimation for symmetric PSD operators.
+"""Largest eigenvalue of symmetric PSD operators, for global Lipschitz bounds.
 
 Problem builders need an upper bound on the spectral norm of a Gram-type
-matrix to derive global Lipschitz constants. A plain power iteration with a
-Rayleigh-quotient stopping rule is enough: the operators involved are
-symmetric positive semidefinite, so the dominant eigenvalue is real and the
-quotient converges monotonically from below.
+matrix to derive global Lipschitz constants. Where the problem holds that
+Gram matrix explicitly, :func:`dense_lambda_max` takes the eigenvalue from
+LAPACK's symmetric eigensolver: forming the matrix already cost its side
+cubed, the solver costs about as much again in BLAS, and its value is
+correct to rounding, so the 1% margin of :func:`require_converged` covers it.
+Where the operator is given only as products, :func:`estimate_lambda_max`
+runs a power iteration with a Rayleigh-quotient stopping rule: the operators
+are symmetric positive semidefinite, so the quotient converges from below,
+but its stopping rule bounds no error, so the value can lie further below
+the eigenvalue than its 1e-6 relative tolerance.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from ..core import ConfigurationError, STREAM_POWER, _check_sizes, seeded_generator
 
-__all__ = ["SpectralEstimate", "estimate_lambda_max", "require_converged"]
+__all__ = ["SpectralEstimate", "dense_lambda_max", "estimate_lambda_max", "require_converged"]
 
 # Estimated spectral bounds get a 1% safety margin so that the componentwise
 # constants (which are exact) can never exceed the global one numerically.
@@ -31,9 +37,12 @@ _MAX_ITERATIONS = 10_000
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Result of a power-iteration run.
+    """Result of a power-iteration run, or of a dense eigensolve.
 
-    ``converged`` is False when the iteration cap was hit before the Rayleigh
+    A dense eigensolve makes no product: ``iterations`` is 0, and
+    ``converged`` is False only for a matrix that is not finite, whose
+    ``value`` is then not finite either (see :func:`dense_lambda_max`).
+    For a power iteration, ``converged`` is False when the iteration cap was hit before the Rayleigh
     quotient stabilized; ``value`` is then the best estimate so far and
     callers should treat it as a lower bound. It is False too when a product's
     quotient or norm is not finite (a NaN, or an overflow); the run stops at
@@ -44,6 +53,20 @@ class SpectralEstimate:
     value: float
     iterations: int
     converged: bool
+
+
+def dense_lambda_max(gram: np.ndarray) -> SpectralEstimate:
+    """The largest eigenvalue of the explicit symmetric PSD matrix ``gram``.
+
+    LAPACK's symmetric eigensolver (``numpy.linalg.eigvalsh``) reads the
+    lower triangle and returns the eigenvalue to rounding, with
+    ``iterations=0``. A ``gram`` holding a value that is not finite gives
+    ``converged=False`` with its largest absolute entry (inf, or NaN) as the
+    value, which :func:`require_converged` rejects as not finite.
+    """
+    if not np.all(np.isfinite(gram)):
+        return SpectralEstimate(value=float(np.max(np.abs(gram))), iterations=0, converged=False)
+    return SpectralEstimate(value=float(np.linalg.eigvalsh(gram)[-1]), iterations=0, converged=True)
 
 
 def estimate_lambda_max(
@@ -111,7 +134,7 @@ def require_converged(estimate: SpectralEstimate) -> float:
 
     Returns ``1.01 * estimate.value``: the estimate with the 1% safety
     margin every global bound carries. Raises :class:`ConfigurationError`
-    unless the power iteration converged: an estimate that is not finite
+    unless the estimate converged: an estimate that is not finite
     bounds nothing, and an unconverged one is only a lower bound on the
     largest eigenvalue, so a global Lipschitz bound scaled from it could be
     too small.
@@ -119,8 +142,8 @@ def require_converged(estimate: SpectralEstimate) -> float:
     if not math.isfinite(estimate.value):
         raise ConfigurationError(
             f"the spectral estimate is not finite ({estimate.value}) after "
-            f"{estimate.iterations} matvecs: a product of the operator overflowed or "
-            "holds a NaN, so it cannot give a global Lipschitz bound"
+            f"{estimate.iterations} matvecs: the operator, or a product of it, overflowed "
+            "or holds a NaN, so it cannot give a global Lipschitz bound"
         )
     if not estimate.converged:
         raise ConfigurationError(

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +14,12 @@ from minieg.core import STREAM_INSTANCE, STREAM_SOLVER
 from minieg.problems import (
     CSProblem,
     LogRegProblem,
-    SpectralEstimate,
     build_cs_instance,
-    estimate_lambda_max,
     lasso,
     load_instance,
     random_spd_affine,
     save_instance,
+    spectral,
     synthetic_logreg,
 )
 
@@ -66,26 +66,46 @@ def test_global_constant_against_a_dense_eigenvalue_oracle(n, m):
     assert lam_h == pytest.approx(2.0 * lam_b, rel=1e-10)
 
     L = problem.ensure_global_lipschitz()
-    # The power iteration runs on the smaller Gram matrix: A A^T when wide, B when tall.
-    gram = A @ A.T if m < n else B
-    est = estimate_lambda_max(lambda v: gram @ v, min(m, n), seed=4)
-    expected = np.sqrt(2.0 * n) * max(1.01 * 2.0 * est.value, 1.0)
+    # The eigensolve runs on the smaller Gram matrix, A A^T when wide and B
+    # when tall; the pin reads the eigenvalue from the other side.
+    gram, other = (A @ A.T, B) if m < n else (B, A @ A.T)
+    lam_other = float(np.linalg.eigvalsh(other)[-1])
+    expected = np.sqrt(2.0 * n) * max(1.01 * 2.0 * lam_other, 1.0)
     assert L == pytest.approx(expected, rel=1e-12)
-    assert problem.lambda_setup.iterations == est.iterations
+    assert problem.lambda_setup.iterations == 0 and problem.lambda_setup.converged
+    # The bound meets the bracket's upper end exactly, so the bracket reads
+    # lam_B on the side the problem solves: the other side's can differ in
+    # its last bits.
+    lam_solved = float(np.linalg.eigvalsh(gram)[-1])
     root = np.sqrt(problem.dim)
-    assert root * max(2.0 * lam_b, 1.0) <= L <= root * max(2.02 * lam_b, 1.0)
+    assert root * max(2.0 * lam_solved, 1.0) <= L <= root * max(2.02 * lam_solved, 1.0)
     assert L >= np.sqrt(problem.dim) * 1.0 - 1e-12  # floor when the map is mild
     kappa = L / problem.componentwise_lipschitz.max()
     assert 1.0 - 1e-12 <= kappa <= problem.dim
 
 
-def test_a_gram_matrix_that_overflows_fails_at_the_first_power_step():
-    with np.errstate(over="ignore", invalid="ignore"):
-        problem = CSProblem([[1e200, 1], [1, 1e200], [3, 1]], np.ones(3), reg=1.0)
-        with pytest.raises(ConfigurationError, match=r"^the spectral estimate is not finite "
-                           r"\(\S+\) after 1 matvecs"):
-            problem.ensure_global_lipschitz()
-    assert problem.lambda_setup.iterations == 1 and not problem.lambda_setup.converged
+@pytest.mark.parametrize("sensing", [
+    [[1e200, 1], [1, 1e200], [3, 1]],
+    [[1e200, 1e200], [1e200, -1e200]],  # inf - inf: a NaN in the Gram matrix
+], ids=["inf", "nan"])
+def test_a_gram_matrix_that_overflows_is_rejected_at_construction(sensing):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning leaks
+        with pytest.raises(ConfigurationError, match=r"^'sensing' is too large: its Gram matrix "
+                           r"AᵀA overflows \(largest absolute entry 1e\+200\)"):
+            CSProblem(sensing, np.ones(len(sensing)), reg=1.0)
+
+
+@pytest.mark.parametrize("seed", [33, 143])
+def test_the_desk_bound_covers_the_eigenvalue_with_its_margin(seed):
+    # The power iteration once stopped 4.7e-3 (seed 33) and 6.7e-3 (seed 143)
+    # below the eigenvalue, and the bound fell short of its 1% margin. The
+    # oracle reads the other Gram side, A^T A.
+    A = build_cs_instance(256, 64, 8, seed=seed).sensing
+    lam = float(np.linalg.eigvalsh(A.T @ A)[-1])
+    bounds = [build_cs_instance(256, 64, 8, seed=seed).ensure_global_lipschitz() for _ in range(2)]
+    assert bounds[0] >= np.sqrt(512) * 2.02 * lam * (1.0 - 1e-12)
+    assert bounds[0].hex() == bounds[1].hex()  # built twice, the same bits
 
 
 @pytest.mark.parametrize("factory", [
@@ -106,14 +126,17 @@ def test_desk_gram_matrix_is_exactly_symmetric():
     assert np.array_equal(G, G.T)
 
 
-def test_unconverged_spectral_estimate_fails_fast(monkeypatch):
-    capped = SpectralEstimate(value=3.0, iterations=17, converged=False)
-    monkeypatch.setattr(lasso, "estimate_lambda_max", lambda *args, **kwargs: capped)
+def test_a_spectral_value_that_is_not_finite_fails_fast(monkeypatch):
+    # The constructor rejects a Gram matrix that overflows, so the eigensolve
+    # is handed one that is not finite here.
+    monkeypatch.setattr(lasso, "dense_lambda_max",
+                        lambda gram: spectral.dense_lambda_max(np.full_like(gram, np.inf)))
     problem = build_cs_instance(16, 8, 3, seed=4)
-    with pytest.raises(ConfigurationError, match="17 matvecs"):
+    with pytest.raises(ConfigurationError, match=r"not finite \(inf\) after 0 matvecs"):
         problem.ensure_global_lipschitz()
     assert problem.global_lipschitz is None
-    with pytest.raises(ConfigurationError, match="did not converge"):
+    assert not problem.lambda_setup.converged
+    with pytest.raises(ConfigurationError, match="not finite"):
         run_solver(problem, "eg", SolverConfig())
 
 
@@ -182,7 +205,7 @@ def test_instance_round_trip_is_bit_exact(tmp_path):
 
     z = np.abs(np.sin(np.arange(problem.dim)))
     np.testing.assert_array_equal(loaded.eval_full(z), problem.eval_full(z))
-    # The power iteration is seeded from the archive's seed, as it was built.
+    # The bound depends on the sensing matrix alone.
     assert loaded.ensure_global_lipschitz().hex() == problem.ensure_global_lipschitz().hex()
     built, reloaded = (run_solver(p, "eg", SolverConfig()) for p in (problem, loaded))
     assert reloaded.final_point.tobytes() == built.final_point.tobytes()
@@ -190,19 +213,15 @@ def test_instance_round_trip_is_bit_exact(tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40])
-def test_the_power_iteration_is_seeded_from_the_record(seed):
+def test_the_bound_does_not_depend_on_the_record(seed):
     generated = build_cs_instance(24, 12, 3, seed=seed)
 
     def bound(meta):
         rebuilt = CSProblem(generated.sensing, generated.measurements, reg=generated.reg, meta=meta)
         return rebuilt.ensure_global_lipschitz().hex()
 
-    assert bound(generated.meta) == generated.ensure_global_lipschitz().hex()
-    # Without a record, or with one that holds no seed, the seed is 0.
-    seed_zero = bound(dataclasses.replace(generated.meta, seed=0))
-    assert bound(None) == bound(dataclasses.replace(generated.meta, seed=None)) == seed_zero
-    # The seed reaches the bound's bits, so the checks above tell the seeds apart.
-    assert (bound(generated.meta) == seed_zero) == (seed == 0)
+    records = [None] + [dataclasses.replace(generated.meta, seed=s) for s in (0, 7, 2**40, None)]
+    assert {bound(meta) for meta in records} == {generated.ensure_global_lipschitz().hex()}
 
 
 def _off_line(a):
@@ -243,7 +262,7 @@ def test_bare_instance_round_trip_keeps_optional_fields_empty(tmp_path):
     assert loaded.meta.snr_db is None
     assert loaded.meta.seed is None
     assert loaded.reg == problem.reg
-    # Without a generator seed the power iteration keeps CSProblem's seed 0.
+    # Without a generator seed the bound is the same: it reads no seed.
     assert loaded.ensure_global_lipschitz().hex() == problem.ensure_global_lipschitz().hex()
 
 

@@ -1,6 +1,7 @@
 """Regularized logistic-gradient problem: constants, oracles, validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,15 +241,42 @@ def test_a_sparse_design_keeps_the_gram_matrix_only_above_n_squared_entries():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_the_gram_power_iteration_matches_the_product_one(seed):
+def test_the_gram_eigenvalue_bounds_the_product_power_iteration(seed):
     problem = synthetic_logreg(2000, 62, seed=seed)
     A, At = problem._A, problem._At
     products = estimate_lambda_max(lambda v: At @ (A @ v), problem.n_samples, seed=seed)
     problem.ensure_global_lipschitz()
     gram = problem.lambda_setup
     assert gram.converged and products.converged
-    assert gram.iterations == products.iterations
-    assert abs(gram.value - products.value) <= 1e-12 * products.value
+    assert gram.iterations == 0
+    assert gram.value.hex() == float(np.linalg.eigvalsh(problem._K)[-1]).hex()
+    # The power iteration's quotient lies below the eigenvalue: here by
+    # 1.6e-5 to 5.5e-5 relative, which its stopping rule does not bound.
+    assert gram.value * (1.0 - 1e-4) <= products.value <= gram.value * (1.0 + 1e-12)
+
+
+def test_the_gram_bound_covers_the_eigenvalue_with_its_margin():
+    # The power iteration once stopped 1.1e-4 below the eigenvalue here, and
+    # the bound fell short of its 1% margin. The SVD reads the 2000 x 62
+    # design, where an eigensolve of the 2000 x 2000 side would take long.
+    bounds = [synthetic_logreg(2000, 62, seed=21).ensure_global_lipschitz() for _ in range(2)]
+    sigma = np.linalg.svd(synthetic_logreg(2000, 62, seed=21)._A, compute_uv=False)[0]
+    assert bounds[0] >= 1.01 * sigma**2 / (4.0 * 62) + 0.1
+    assert bounds[0].hex() == bounds[1].hex()  # built twice, the same bits
+
+
+@pytest.mark.parametrize("features, peak", [
+    (np.array([[1e200, 1.0, 3.0], [1.0, 1e200, 3.0]]), "1e+200"),  # a squared norm overflows
+    (np.array([[1.2e154] * 3, [1.0] * 3]), "1.2e+154"),  # finite squared norms, but K overflows
+    (sp.csr_matrix(np.array([[1.2e154] * 3, [1.0] * 3])), "1.2e+154"),
+], ids=["dense-norms", "dense-gram", "sparse-gram"])
+def test_features_whose_gram_matrix_overflows_are_rejected_at_construction(features, peak):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning leaks
+        with pytest.raises(ConfigurationError) as error:
+            LogRegProblem(features, [1.0, -1.0])
+    assert str(error.value) == ("'features' are too large: their squared norms or Gram matrix "
+                                f"AᵀA overflow (largest absolute entry {peak})")
 
 
 @pytest.mark.parametrize("shape, seed, tolerance", [
