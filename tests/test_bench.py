@@ -108,13 +108,16 @@ def test_gaussian_starts_are_feasible_and_seeded():
 
 # The trial CSV of a gaussian-start sparse-recovery run, wall time dropped:
 # every bit of each start reaches the iteration counts and final residuals.
+# The two eg residuals were captured again when the sparse-recovery bound
+# began to take its eigenvalue from a dense eigensolver; no other method
+# reads the bound.
 GAUSSIAN_START_CSV = """\
 method,trial,itr,nf,final_residual,status,seed
-eg,0,2196,4392,9.9569137909966509e-07,converged,3
+eg,0,2196,4392,9.9570248023796919e-07,converged,3
 gmini,0,2567,5134,5.1381352536653688e-07,converged,3
 rmini,0,8498,8763.5625,8.1474568148420333e-07,converged,3
 wmax,0,1073,1141.0625,8.8898269205495273e-07,converged,3
-eg,1,1943,3886,9.9121462160122624e-07,converged,4
+eg,1,1943,3886,9.9123201725327167e-07,converged,4
 gmini,1,569,1138,6.8351363667431045e-07,converged,4
 rmini,1,20000,20625,0.15451997077302382,iteration_cap_reached,4
 wmax,1,454,483.375,9.2985111103512686e-07,converged,4

@@ -33,6 +33,13 @@ The two ``eg`` digests of the ``cs`` case were captured again when the
 sparse-recovery bound began to estimate its eigenvalue over the smaller Gram
 matrix, ``A A^T`` for this wide instance: the estimate, and so eg's fixed
 step, moved in its last digits. No other method reads the bound.
+
+The two ``eg`` digests of the ``cs`` case and the two ``eg`` ones of the
+Gram case were captured again when a bound on an explicit Gram matrix
+(``A A^T`` here, ``K`` there) began to take its eigenvalue from a dense
+symmetric eigensolver instead of a power iteration: the eigenvalue, and so
+eg's fixed step, moved in its last digits. No other method reads the bound,
+and the other logistic-regression cases keep no ``K``.
 """
 
 import hashlib
@@ -65,7 +72,7 @@ CASES = {
 }
 
 GOLDEN = {
-    ("eg", "cs"): "651e3f77b376b355053a1eddb5f2b552338f1ce51c2d55a3b64463ce458b6685",
+    ("eg", "cs"): "68e11e63fa81893dc99488ecf008ceb48456e1dd25c8b016263233a112ce35d3",
     ("eg", "logreg"): "e88e6e76886fd925377cf600373f9e1736eabe0c90fbfea0e89b3d59d9a04c9c",
     ("eg", "logreg-dense"): "6e9b658eaa5d1323cf3a406f534cb72992a9a9a28a76515d9d7b90c7b03f848a",
     ("eg", "affine"): "575f75d01642938ec60a9392d02394f3ec04a15a23b4fa283f3b435f7522ac60",
@@ -95,7 +102,7 @@ DESK_CAP_CASE = (
 )
 
 RESULT_GOLDEN = {
-    ("eg", "cs"): "ccdc8403843b5e82914da33f54d548cc7e51c7ca17ed0e7c2c811d3d080fb8b8",
+    ("eg", "cs"): "5372330e4df87fd8a808d05ddf9473a8b8dcca673ae162cdcef164e1b91d7570",
     ("eg", "logreg"): "2d6662f9d830e1a4063e1d7f5067c62122f334d256ca0fb33f2876f0c0ee3e23",
     ("eg", "logreg-dense"): "b7227c3034b6558b33528d4b934ae71b13025f632b988028f8bc9d3ab7e96003",
     ("eg", "affine"): "11ff0ea1da36b2d6aa908ce0ebe93d321d06aa11949b02e4650c6dca642b2a4f",
@@ -123,14 +130,14 @@ def GRAM_CASE():
     return synthetic_logreg(60, 20, seed=3)
 
 GRAM_GOLDEN = {
-    "eg": "6caa370c6539901a87ffdee77b14d12bc1624d90ddaae5dc48d5bda71d02a153",
+    "eg": "77617e8105b87694adaa9acbd2c2818f534f2cf2da7a7302ece8a0a81c30ac07",
     "gmini": "09669690e3e2d40c3cf27cc4a50a3a1b0338a78dea81cf5f59ff9984275b8b84",
     "rmini": "369225760437e0d6ebb05d5a90ec88116dff6fc9e6eb9f396928cca19a9e2bd1",
     "wmax": "cea1c93fac14ac36562089b7b6203bac2c59e7777fbb0074c242dd74ebca0ac1",
 }
 
 GRAM_RESULT_GOLDEN = {
-    "eg": "8220dca04273756c9d7114fd2dc76b280484fffa0f8cafab7bebb3cb7c01f770",
+    "eg": "2e0c49975ae6c95e1ace5e0330b86552b4beb6cf8345542478d366887ef9d75e",
     "gmini": "9a2d501de6321870a788206101045f0974667c3abef5629094a7ead44990309d",
     "rmini": "f1f95c160042944fb7c90db2cafd99251a9ee7cb6bb4600dfaa359e45fe33391",
     "wmax": "a39ea6fbdf589a30b4e5487a8a1b275fc0e4791ae525572b06059f4c27b39887",
