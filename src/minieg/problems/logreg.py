@@ -20,9 +20,9 @@ shift touches only the row's stored entries.
 With fewer samples than the design stores entries per sample (``N < n``
 dense, ``N * N < nnz`` sparse), the problem also keeps the sample-space Gram
 matrix ``K = A^T A`` (``N x N``, dense). The global constant's eigenvalue
-then comes from a dense symmetric eigensolve of ``K``, and a session moved by a solver's probe
-or step updates its margins in ``O(N^2)`` instead of rebuilding them in
-``O(nN)``. One rule keeps the rounding of those updates bounded: every 64th
+then comes from a dense symmetric eigensolve of ``K``, and a session moved
+by a solver's probe or step updates its margins in ``O(N^2)`` instead of
+rebuilding them in ``O(nN)``. One rule keeps the rounding of those updates bounded: every 64th
 step since the last exact rebuild is rebuilt exactly, and a probe never is
 (see :class:`LogRegSession`).
 """
@@ -75,9 +75,9 @@ class LogRegProblem(MonotoneMapping):
     problem keeps it, and otherwise estimated by power iteration, seeded with
     ``spectral_seed``, over the smaller of the two Gram matrices given as
     products; an iteration that does not converge raises
-    :class:`ConfigurationError`. A coordinate read
-    or shift costs one row of the feature matrix: ``N`` contiguous entries
-    for dense input, the feature's stored entries for sparse input.
+    :class:`ConfigurationError`. A coordinate read or shift costs one row of
+    the feature matrix: ``N`` contiguous entries for dense input, the
+    feature's stored entries for sparse input.
 
     The sample-space Gram matrix ``K = A^T A`` is formed once, as a dense
     ``N x N`` array, when it has fewer entries than ``A`` stores: ``N < n``
@@ -89,9 +89,8 @@ class LogRegProblem(MonotoneMapping):
     ``features`` that are not 2-d, ``features`` that hold a value that is not
     finite or lack a feature or a sample, ``features`` whose squared norms or
     kept ``K`` overflow (the error gives their largest absolute entry),
-    ``labels`` that are not 1-d, not
-    all +-1 or not one per sample, or a ``reg`` that is not a positive and
-    finite real number.
+    ``labels`` that are not 1-d, not all +-1 or not one per sample, or a
+    ``reg`` that is not a positive and finite real number.
     """
 
     def __init__(self, features, labels, *, reg: float = _REG, spectral_seed: int = 0) -> None:
@@ -174,12 +173,14 @@ class LogRegProblem(MonotoneMapping):
         # lambda_1(A A^T) == lambda_1(A^T A); work on the smaller side.
         if self._K is not None:
             self.lambda_setup = dense_lambda_max(self._K)
+        elif self._N <= self._n:
+            self.lambda_setup = estimate_lambda_max(
+                lambda v: At @ (A @ v), self._N, seed=self._spectral_seed
+            )
         else:
-            if self._N <= self._n:
-                matvec, dim = (lambda v: At @ (A @ v)), self._N
-            else:
-                matvec, dim = (lambda v: A @ (At @ v)), self._n
-            self.lambda_setup = estimate_lambda_max(matvec, dim, seed=self._spectral_seed)
+            self.lambda_setup = estimate_lambda_max(
+                lambda v: A @ (At @ v), self._n, seed=self._spectral_seed
+            )
         return require_converged(self.lambda_setup) / (4.0 * self._N) + self._reg
 
     def eval_full(self, x: np.ndarray) -> np.ndarray:

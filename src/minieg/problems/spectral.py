@@ -42,12 +42,12 @@ class SpectralEstimate:
     A dense eigensolve makes no product: ``iterations`` is 0, and
     ``converged`` is False only for a matrix that is not finite, whose
     ``value`` is then not finite either (see :func:`dense_lambda_max`).
-    For a power iteration, ``converged`` is False when the iteration cap was hit before the Rayleigh
-    quotient stabilized; ``value`` is then the best estimate so far and
-    callers should treat it as a lower bound. It is False too when a product's
-    quotient or norm is not finite (a NaN, or an overflow); the run stops at
-    that product and ``value`` is the quotient, or the norm when the quotient
-    is finite, so it is not finite either.
+    For a power iteration, ``converged`` is False when the iteration cap
+    was hit before the Rayleigh quotient stabilized; ``value`` is then the
+    best estimate so far and callers should treat it as a lower bound. It is
+    False too when a product's quotient or norm is not finite (a NaN, or an
+    overflow); the run stops at that product and ``value`` is the quotient,
+    or the norm when the quotient is finite, so it is not finite either.
     """
 
     value: float

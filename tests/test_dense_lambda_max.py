@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from minieg import ConfigurationError
+from minieg import ConfigurationError, seeded_generator
+from minieg.core import STREAM_INSTANCE
 from minieg.problems import SpectralEstimate, dense_lambda_max, require_converged
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40])
 def test_a_finite_gram_matrix_gives_the_eigensolver_value(seed):
-    gen = np.random.default_rng(seed)
+    gen = seeded_generator(seed, STREAM_INSTANCE)
     G = gen.standard_normal((30, 12))
     for gram in (G @ G.T, G.T @ G, np.zeros((5, 5))):
         est = dense_lambda_max(gram)

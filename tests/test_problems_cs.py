@@ -101,9 +101,10 @@ def test_the_desk_bound_covers_the_eigenvalue_with_its_margin(seed):
     # The power iteration once stopped 4.7e-3 (seed 33) and 6.7e-3 (seed 143)
     # below the eigenvalue, and the bound fell short of its 1% margin. The
     # oracle reads the other Gram side, A^T A.
-    A = build_cs_instance(256, 64, 8, seed=seed).sensing
+    problems = [build_cs_instance(256, 64, 8, seed=seed) for _ in range(2)]
+    A = problems[0].sensing
     lam = float(np.linalg.eigvalsh(A.T @ A)[-1])
-    bounds = [build_cs_instance(256, 64, 8, seed=seed).ensure_global_lipschitz() for _ in range(2)]
+    bounds = [problem.ensure_global_lipschitz() for problem in problems]
     assert bounds[0] >= np.sqrt(512) * 2.02 * lam * (1.0 - 1e-12)
     assert bounds[0].hex() == bounds[1].hex()  # built twice, the same bits
 
@@ -126,7 +127,8 @@ def test_desk_gram_matrix_is_exactly_symmetric():
     assert np.array_equal(G, G.T)
 
 
-def test_a_spectral_value_that_is_not_finite_fails_fast(monkeypatch):
+def test_unconverged_spectral_estimate_fails_fast(monkeypatch):
+    # A dense eigensolve is unconverged only on a matrix that is not finite.
     # The constructor rejects a Gram matrix that overflows, so the eigensolve
     # is handed one that is not finite here.
     monkeypatch.setattr(lasso, "dense_lambda_max",

@@ -241,26 +241,31 @@ def test_a_sparse_design_keeps_the_gram_matrix_only_above_n_squared_entries():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_the_gram_eigenvalue_bounds_the_product_power_iteration(seed):
+def test_the_gram_power_iteration_matches_the_product_one(seed):
     problem = synthetic_logreg(2000, 62, seed=seed)
     A, At = problem._A, problem._At
     products = estimate_lambda_max(lambda v: At @ (A @ v), problem.n_samples, seed=seed)
-    problem.ensure_global_lipschitz()
-    gram = problem.lambda_setup
+    gram = estimate_lambda_max(problem._K.__matmul__, problem.n_samples, seed=seed)
     assert gram.converged and products.converged
-    assert gram.iterations == 0
-    assert gram.value.hex() == float(np.linalg.eigvalsh(problem._K)[-1]).hex()
-    # The power iteration's quotient lies below the eigenvalue: here by
-    # 1.6e-5 to 5.5e-5 relative, which its stopping rule does not bound.
-    assert gram.value * (1.0 - 1e-4) <= products.value <= gram.value * (1.0 + 1e-12)
+    assert gram.iterations == products.iterations
+    assert abs(gram.value - products.value) <= 1e-12 * products.value
+    # The bound takes its eigenvalue from a dense eigensolve of K instead.
+    # The power iteration's quotient lies below it: here by 1.6e-5 to 5.5e-5
+    # relative, which its stopping rule does not bound.
+    problem.ensure_global_lipschitz()
+    solved = problem.lambda_setup
+    assert solved.converged and solved.iterations == 0
+    assert solved.value.hex() == float(np.linalg.eigvalsh(problem._K)[-1]).hex()
+    assert solved.value * (1.0 - 1e-4) <= products.value <= solved.value * (1.0 + 1e-12)
 
 
 def test_the_gram_bound_covers_the_eigenvalue_with_its_margin():
     # The power iteration once stopped 1.1e-4 below the eigenvalue here, and
     # the bound fell short of its 1% margin. The SVD reads the 2000 x 62
     # design, where an eigensolve of the 2000 x 2000 side would take long.
-    bounds = [synthetic_logreg(2000, 62, seed=21).ensure_global_lipschitz() for _ in range(2)]
-    sigma = np.linalg.svd(synthetic_logreg(2000, 62, seed=21)._A, compute_uv=False)[0]
+    problems = [synthetic_logreg(2000, 62, seed=21) for _ in range(2)]
+    sigma = np.linalg.svd(problems[0]._A, compute_uv=False)[0]
+    bounds = [problem.ensure_global_lipschitz() for problem in problems]
     assert bounds[0] >= 1.01 * sigma**2 / (4.0 * 62) + 0.1
     assert bounds[0].hex() == bounds[1].hex()  # built twice, the same bits
 
