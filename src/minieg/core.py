@@ -78,6 +78,15 @@ def _check_sizes(**sizes) -> None:
             raise ConfigurationError(f"{name!r} must be an integer, got {value!r}")
 
 
+def _check_finite(**arrays) -> None:
+    """Raise :class:`ConfigurationError`, naming the argument first, for the
+    first array in ``arrays`` (argument name to array) that holds a value
+    that is not finite. An argument that is None is skipped."""
+    for name, value in arrays.items():
+        if value is not None and not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"{name!r} holds a value that is not finite")
+
+
 def _checked_reg(reg) -> float:
     """An explicit regularization weight ``reg`` as a float.
 
@@ -337,7 +346,9 @@ class EvaluationSession(ABC):
     may override ``probe`` and ``_commit`` to update its cache along the move
     instead. Subclasses implement the four backend hooks (``_rebuild``,
     ``_shift``, ``_compute_full`` and ``_compute_component``); one that keeps
-    views of the point makes them once, in ``_open``.
+    views of the point makes them once, in ``_open``. One whose component
+    read equals the kept ``F``'s entry may override ``_null_read`` to let
+    ``first_nonzero_read`` index that ``F``.
 
     ``eval_full`` keeps the last ``F`` it computed until the next shift or
     rebuild, so a repeated read at a point that has not moved costs a copy;
@@ -459,23 +470,23 @@ class EvaluationSession(ABC):
         most: int,
     ) -> tuple[int, tuple[int, float] | None]:
         """Draw coordinates with ``sampler(gen, self)`` and read each, until one
-        reads nonzero or ``most`` have read zero. Charges ``1/n`` per read.
+        reads nonzero or ``most``, a count of at least 0, have read zero. Charges ``1/n`` per read,
+        all of a call's reads in one charge.
 
         Returns the number of zero reads and the first nonzero ``(i, F_i)``,
         or None when all ``most`` read zero. Meant for a point the session
-        has not left since its last full read; this class reads every draw
-        through ``eval_component``, which is exact anywhere. A backend whose
-        component read computes the full read's entry the same way may read
-        the ``F`` it keeps instead.
+        has not left since its last full read. Each draw is read through
+        the backend hook ``_null_read``.
         """
-        zeros = 0
-        while zeros < most:
+        read = self._null_read()
+        for zeros in range(most):
             i = sampler(gen, self)
-            f_i = self.eval_component(i)
+            f_i = read(i)
             if f_i != 0.0:
+                self._ledger.charge_component(zeros + 1)
                 return zeros, (i, f_i)
-            zeros += 1
-        return zeros, None
+        self._ledger.charge_component(most)
+        return most, None
 
     # -- backend hooks ---------------------------------------------------------
 
@@ -500,3 +511,12 @@ class EvaluationSession(ABC):
 
     @abstractmethod
     def _compute_component(self, i: int) -> float: ...
+
+    def _null_read(self) -> Callable[[int], float]:
+        """The read ``first_nonzero_read`` makes of each draw, not charged.
+
+        Default: ``_compute_component``, which is exact anywhere. A backend
+        whose component read computes the full read's entry the same way
+        may read the ``F`` it keeps instead.
+        """
+        return self._compute_component

@@ -17,6 +17,7 @@ from ..core import (
     EvaluationSession,
     MonotoneMapping,
     STREAM_INSTANCE,
+    _check_finite,
     _check_sizes,
     seeded_generator,
 )
@@ -59,9 +60,7 @@ class AffineMonotoneProblem(MonotoneMapping):
             raise ConfigurationError(
                 f"'root' must hold one entry per row of 'matrix' ({n}), got shape {self.root.shape}"
             )
-        for name, value in (("matrix", M), ("rhs", self._rhs), ("root", self.root)):
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"{name!r} holds a value that is not finite")
+        _check_finite(matrix=M, rhs=self._rhs, root=self.root)
 
         if validate:
             sym = 0.5 * (M + M.T)

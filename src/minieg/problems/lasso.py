@@ -38,6 +38,7 @@ from ..core import (
     NonnegativeProjection,
     Projection,
     STREAM_INSTANCE,
+    _check_finite,
     _check_sizes,
     _checked_reg,
     _is_real,
@@ -127,9 +128,10 @@ class CSProblem(MonotoneMapping):
     ``sensing`` that is not 2-d or has no column, ``measurements`` that are
     not 1-d with one entry per row of ``sensing``, an ``x_true`` without one
     entry per column of ``sensing``, any of the three holding a value that is
-    not finite, a ``sensing`` whose Gram matrix ``A^T A`` overflows (the
-    error gives its largest absolute entry), or an explicit ``reg`` that is
-    not a positive and finite real number. A derived ``reg`` that is not
+    not finite, a ``sensing`` whose Gram matrix ``A^T A`` overflows or
+    ``measurements`` whose ``A^T b`` overflows (each error gives the
+    argument's largest absolute entry), or an explicit ``reg`` that is not a
+    positive and finite real number. A derived ``reg`` that is not
     positive and finite names its rule.
     """
 
@@ -160,9 +162,7 @@ class CSProblem(MonotoneMapping):
             raise ConfigurationError(
                 f"'x_true' must hold one entry per column of 'sensing' ({n}), got shape {x.shape}"
             )
-        for name, value in (("sensing", A), ("measurements", b), ("x_true", x)):
-            if value is not None and not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"{name!r} holds a value that is not finite")
+        _check_finite(sensing=A, measurements=b, x_true=x)
         if reg is not None:
             reg = _checked_reg(reg)
 
@@ -172,12 +172,17 @@ class CSProblem(MonotoneMapping):
         self._n_signal = n
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
             self._G = np.matmul(A.T, A, out=_aligned((n, n)))  # Gram matrix, cached for row shifts
+            atb = A.T @ b
         if not np.all(np.isfinite(self._G)):
             raise ConfigurationError(
                 f"'sensing' is too large: its Gram matrix AᵀA overflows (largest absolute "
                 f"entry {float(np.abs(A).max())!r})"
             )
-        atb = A.T @ b
+        if not np.all(np.isfinite(atb)):
+            raise ConfigurationError(
+                f"'measurements' are too large: Aᵀb overflows (largest absolute entry "
+                f"{float(np.abs(b).max())!r})"
+            )
         self._reg = _derived_reg(atb, _REG_SCALE) if reg is None else reg
         self._c_top = self._reg - atb          # (Hz+c) upper half offset
         self._c_bot = self._reg + atb          # lower half offset
@@ -271,7 +276,9 @@ class CSSession(EvaluationSession):
 
     Every product and elementwise step writes into a buffer allocated once
     per session, with the same operations in the same order as
-    :meth:`CSProblem.eval_full`, so the results match it bit for bit.
+    :meth:`CSProblem.eval_full`, so the results match it bit for bit. The
+    scan of :meth:`~minieg.core.EvaluationSession.first_nonzero_read` reads
+    each draw from the ``F`` kept at the point, one ``item`` call per draw.
     """
 
     _problem: CSProblem
@@ -326,8 +333,8 @@ class CSSession(EvaluationSession):
             q = p._c_bot.item(i - n) - self._g.item(i - n)
         return min(self._x.item(i), q)
 
-    def first_nonzero_read(self, sampler, gen, most):
-        """Read each draw from the ``F`` kept at the point, charging all reads at once.
+    def _null_read(self):
+        """Reads from the ``F`` kept at the point, computing it first if none is kept.
 
         A component read computes ``min(x_i, g_i + c_i)`` with the rounding
         of the full read's entry, so the two are equal; they can differ only
@@ -335,16 +342,7 @@ class CSSession(EvaluationSession):
         """
         if self._full is None:
             self._full = self._compute_full()
-        f, zeros = self._full, 0
-        while zeros < most:
-            i = sampler(gen, self)
-            f_i = f.item(i)
-            if f_i != 0.0:
-                self._ledger.charge_component(zeros + 1)
-                return zeros, (i, f_i)
-            zeros += 1
-        self._ledger.charge_component(zeros)
-        return zeros, None
+        return self._full.item
 
 
 def build_cs_instance(

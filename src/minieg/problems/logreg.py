@@ -39,6 +39,7 @@ from ..core import (
     EvaluationSession,
     MonotoneMapping,
     STREAM_INSTANCE,
+    _check_finite,
     _check_sizes,
     _checked_reg,
     seeded_generator,
@@ -106,15 +107,12 @@ class LogRegProblem(MonotoneMapping):
         if self._sparse:
             A = sp.csr_matrix(features).T.tocsr()  # a fresh copy, safe to canonicalize
             A.sum_duplicates()  # a shift must move every stored copy of an entry
-            finite = np.all(np.isfinite(A.data))
         else:
             X = np.asarray(features, dtype=float)
             if X.ndim != 2:
                 raise ConfigurationError(f"'features' must be 2-d, got shape {X.shape}")
             A = np.array(X.T, order="C")
-            finite = np.all(np.isfinite(A))
-        if not finite:
-            raise ConfigurationError("'features' must be finite")
+        _check_finite(features=A.data if self._sparse else A)
         if A.shape[1] != labels.shape[0]:
             raise ConfigurationError(
                 f"'labels' holds {labels.shape[0]} entries, but 'features' has {A.shape[1]} rows"

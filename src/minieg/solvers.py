@@ -43,10 +43,11 @@ which a later zero step could turn into 0.0), and at least one iteration is
 left to skip before the cap, the loop fast-forwards: one
 ``session.first_nonzero_read`` call draws and reads coordinates until one
 reads nonzero, and each skipped iteration is charged what the loop would
-charge it, so results and ledgers stay bit for bit the same. The
-sparse-recovery session reads the drawn coordinates from the full read it
-keeps at ``x``, which the null step made; other sessions read each through
-``eval_component``. The loop fast-forwards only when no callback is set and
+charge it, so results and ledgers stay bit for bit the same. The scan
+reads each draw through the session's ``_null_read`` hook and charges its
+reads in one charge: the sparse-recovery session reads the drawn
+coordinates from the full read it keeps at ``x``, which the null step made;
+other sessions make their exact component read. The loop fast-forwards only when no callback is set and
 the library's own sampler draws, since skipped iterations are neither
 observed nor drawn through a custom sampler.
 
@@ -60,9 +61,9 @@ Every read, shift, move, projection and draw goes through the public
 session methods (``eval_full``, ``eval_component``, ``first_nonzero_read``,
 ``shift_coordinate``, ``probe``, ``step``), the projection's ``__call__`` and the sampler, which
 the benchmark traces; only a fast-forward charges reads without making
-them: the skipped full ones and, on sparse recovery, the skipped coordinate
-ones, which it takes from the kept full read. The loop copies only what it
-reports.
+them through those methods: the skipped full ones, and the skipped
+coordinate ones, which its scan reads through the hook. The loop copies
+only what it reports.
 """
 
 from __future__ import annotations

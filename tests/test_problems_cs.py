@@ -96,6 +96,28 @@ def test_a_gram_matrix_that_overflows_is_rejected_at_construction(sensing):
             CSProblem(sensing, np.ones(len(sensing)), reg=1.0)
 
 
+@pytest.mark.parametrize("route", ["reg", "derived-reg", "archive"])
+@pytest.mark.parametrize("sensing, measurements", [
+    ([[1e150, 1.0]], [1e200]),
+    ([[1e150, 1.0], [1e150, 1.0]], [1e200, -1e200]),  # inf - inf: a NaN in Aᵀb
+], ids=["inf", "nan"])
+def test_measurements_whose_atb_overflows_are_rejected_at_construction(
+        sensing, measurements, route, tmp_path):
+    message = "'measurements' are too large: Aᵀb overflows (largest absolute entry 1e+200)"
+    path = tmp_path / "instance.npz"
+    if route == "archive":
+        _rewrite_instance(path, sensing=np.array(sensing), measurements=np.array(measurements),
+                          x_true=np.zeros(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning leaks
+        with pytest.raises(ConfigurationError) as error:
+            if route == "archive":
+                load_instance(path)
+            else:
+                CSProblem(sensing, measurements, reg=1.0 if route == "reg" else None)
+    assert str(error.value) == (f"{path}: key {message}" if route == "archive" else message)
+
+
 @pytest.mark.parametrize("seed", [33, 143])
 def test_the_desk_bound_covers_the_eigenvalue_with_its_margin(seed):
     # The power iteration once stopped 4.7e-3 (seed 33) and 6.7e-3 (seed 143)

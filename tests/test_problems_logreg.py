@@ -151,7 +151,7 @@ _GOOD_LABELS = np.array([1.0, -1.0, 1.0, -1.0])
 NAMED_REJECTIONS = {
     "features-1d": ((np.ones(4), _GOOD_LABELS), r"^'features' must be 2-d, got shape \(4,\)"),
     "features-nan": (
-        (np.array([[np.nan, 1.0]] * 4), _GOOD_LABELS), r"^'features' must be finite",
+        (np.array([[np.nan, 1.0]] * 4), _GOOD_LABELS), r"^'features' holds a value that is not finite$",
     ),
     "features-empty": (
         (np.ones((4, 0)), _GOOD_LABELS), "^'features' must hold at least one feature and one sample",

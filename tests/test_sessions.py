@@ -293,12 +293,17 @@ def test_first_nonzero_read_returns_what_component_reads_return(name, read_first
         assert drawn_with is gen and drawn_for is session
         return next(draws)
 
+    def charged():  # what the scans charged: every draw read, and no full read
+        return ledger.full_evals - read_first, ledger.component_evals
+
     zero_reads, (i, f_i) = session.first_nonzero_read(sampler, gen, problem.dim)
     assert (zero_reads, i) == (len(zeros[:3]), nonzero)
     assert f_i.hex() == reads[nonzero].hex()
+    assert charged() == (0, zero_reads + 1)
     assert session.first_nonzero_read(sampler, gen, 2) == (2, None)
+    assert charged() == (0, zero_reads + 3)
     assert session.first_nonzero_read(sampler, gen, 0) == (0, None)
-    assert (ledger.full_evals, ledger.component_evals) == (read_first, zero_reads + 3)
+    assert charged() == (0, zero_reads + 3)
 
 
 @pytest.mark.parametrize("name", sorted(BACKENDS))

@@ -868,7 +868,7 @@ class _HiddenCoordinate(MonotoneMapping):
     """``F(x) = x - 1`` on R^2, whose session reads coordinate 1 as exactly 0.0.
 
     The full read's entry ``x_1 - 1`` is not zero, so a fast-forward that read
-    the kept ``F`` instead of calling ``eval_component`` would take a probe
+    the kept ``F`` instead of the session's component read would take a probe
     along coordinate 1 that the per-step path never takes.
     """
 
@@ -896,12 +896,12 @@ def test_a_fast_forward_reads_each_draw_through_a_generic_session():
     problem = _HiddenCoordinate()
     # Iterations 17-21 draw coordinate 1, so the cap ends a fast-forward too.
     config = SolverConfig(seed=1, max_iterations=21)
-    reads = _count_session_calls(problem)
+    reads = _count_session_calls(problem, ("eval_full", "_compute_component"))
     fast = run_solver(problem, "rmini", config)
     stepped, obs = _collect(_HiddenCoordinate(), "rmini", config)
     assert _outcome(fast) == _outcome(stepped)
     assert reads["eval_full"] < fast.ledger.full_evals  # it did fast-forward
-    assert reads["eval_component"] == fast.ledger.component_evals
+    assert reads["_compute_component"] == fast.ledger.component_evals
     assert {o.selected_index for o in obs} == {0, 1}
     assert all(o.selected_value == 0.0 for o in obs if o.selected_index == 1)
     assert problem.eval_full(fast.final_point)[1] != 0.0
